@@ -68,11 +68,10 @@ int main(int argc, char** argv) {
   }
   // Accumulator arm split inside the fused kernel: real p=4 runs of the
   // two headline matrices with each arm pinned (the DistRcmOptions /
-  // DRCM_SPMSPV_ACC override) versus the degree-aware auto-select. All
-  // three produce bit-identical orderings; only the charged SpMSpV phase
-  // moves. Auto follows the MEASURED BENCH_1.json crossover (edges vs
-  // local_rows/8), so on high-diameter matrices it leans sort-merge even
-  // where the model's pessimistic log-factor charge favors the SPA.
+  // DRCM_SPMSPV_ACC override) versus kAuto, which resolves to the SPA
+  // (its emission is output-sensitive, so it wins on sparse and dense
+  // levels alike). All three produce bit-identical orderings; only the
+  // charged SpMSpV phase moves.
   std::printf("\nfused-kernel accumulator arms, charged SpMSpV seconds "
               "(real p=4 runs, scale 1):\n");
   const auto small = bench::make_suite(1.0);

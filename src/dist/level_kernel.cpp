@@ -48,8 +48,8 @@ void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
 
 /// Owner merge: min-combine the ≤ q partial lists over my owned range with
 /// the stamped slot array, then SELECT right here, where the dense vector
-/// lives: append (ascending by construction) only the elements whose dense
-/// value equals `keep_sentinel` to `kept`.
+/// lives: append (ascending, output-sensitive emission) only the elements
+/// whose dense value equals `keep_sentinel` to `kept`.
 void merge_and_select(const std::vector<VecEntry>& received,
                       const DistDenseVec& dense, index_t keep_sentinel,
                       mps::Comm& world, mps::Phase other_phase,
@@ -66,14 +66,13 @@ void merge_and_select(const std::vector<VecEntry>& received,
   }
   world.charge_compute(static_cast<double>(received.size()));
   const auto prev = world.set_phase(other_phase);
-  for (index_t g = lo; g < hi; ++g) {
-    const auto s = static_cast<std::size_t>(g - lo);
-    if (slots.live(s) && dense.get(g) == keep_sentinel) {
-      kept.push_back(VecEntry{g, slots.val[s]});
-    }
-  }
-  world.charge_compute(kScanUnit * static_cast<double>(hi - lo) +
-                       static_cast<double>(kept.size()));
+  std::size_t merged = 0;
+  slots.emit_ascending([&](std::size_t s, index_t v) {
+    const index_t g = lo + static_cast<index_t>(s);
+    ++merged;
+    if (dense.get(g) == keep_sentinel) kept.push_back(VecEntry{g, v});
+  });
+  world.charge_compute(static_cast<double>(merged + kept.size()));
   world.set_phase(prev);
 }
 

@@ -27,12 +27,11 @@ Stripe stripe_of(std::size_t n, int parts, int t) {
 }
 
 /// Stage 2, kSpa: accumulate minima in the workspace's dense stamped SPA,
-/// emit by dense scan (sorted by construction) into `out` (GLOBAL rows).
+/// emit ascending (output-sensitive) into `out` (GLOBAL rows).
 void multiply_spa(const DistSpMat& a, std::span<const VecEntry> frontier,
                   DistWorkspace& ws, std::vector<VecEntry>& out,
                   double* work) {
-  const auto rows = static_cast<std::size_t>(a.local_rows());
-  auto& spa = ws.spa(rows);
+  auto& spa = ws.spa(static_cast<std::size_t>(a.local_rows()));
   double edges = 0;
   for (const auto& e : frontier) {
     const auto col = a.column(e.idx - a.col_lo());
@@ -41,12 +40,10 @@ void multiply_spa(const DistSpMat& a, std::span<const VecEntry> frontier,
       spa.put_min(static_cast<std::size_t>(lr), e.val);
     }
   }
-  for (std::size_t s = 0; s < rows; ++s) {
-    if (spa.live(s)) {
-      out.push_back(VecEntry{a.row_lo() + static_cast<index_t>(s), spa.val[s]});
-    }
-  }
-  *work = edges + kScanUnit * static_cast<double>(rows);
+  spa.emit_ascending([&](std::size_t s, index_t v) {
+    out.push_back(VecEntry{a.row_lo() + static_cast<index_t>(s), v});
+  });
+  *work = edges + static_cast<double>(out.size());
 }
 
 /// The k-way heap merge of the sorted column lists of `frontier` with
@@ -104,21 +101,59 @@ void multiply_sort_merge(const DistSpMat& a, std::span<const VecEntry> frontier,
   *work = edges * (1.0 + logk);
 }
 
+/// Min-merges the ascending, duplicate-free `emit` runs of `runs`,
+/// restricted to indices in [lo, hi), onto `out`. One probe per run head
+/// per round: the scan that finds the minimum index min-combines its value
+/// (in run order, so the output does not depend on how the runs split the
+/// rows) and collects the runs holding it in `winners`; only those
+/// advance. Merging E distinct rows costs exactly (E + 1) * runs.size()
+/// probes (the last round finds every head exhausted), which it returns.
+u64 merge_runs(std::span<const ThreadStripe> runs, index_t lo, index_t hi,
+               std::vector<index_t>& heads, std::vector<index_t>& winners,
+               std::vector<VecEntry>& out) {
+  heads.clear();
+  for (const auto& run : runs) {
+    const auto first = std::lower_bound(
+        run.emit.begin(), run.emit.end(), lo,
+        [](const VecEntry& e, index_t g) { return e.idx < g; });
+    heads.push_back(static_cast<index_t>(first - run.emit.begin()));
+  }
+  u64 probes = 0;
+  while (true) {
+    winners.clear();
+    index_t best = 0;
+    index_t val = 0;
+    for (std::size_t m = 0; m < runs.size(); ++m) {
+      const auto& emit = runs[m].emit;
+      const auto at = static_cast<std::size_t>(heads[m]);
+      ++probes;
+      if (at >= emit.size() || emit[at].idx >= hi) continue;
+      if (winners.empty() || emit[at].idx < best) {
+        best = emit[at].idx;
+        val = emit[at].val;
+        winners.clear();
+        winners.push_back(static_cast<index_t>(m));
+      } else if (emit[at].idx == best) {
+        val = std::min(val, emit[at].val);
+        winners.push_back(static_cast<index_t>(m));
+      }
+    }
+    if (winners.empty()) break;
+    for (const index_t m : winners) ++heads[static_cast<std::size_t>(m)];
+    out.push_back(VecEntry{best, val});
+  }
+  return probes;
+}
+
 /// Hybrid kSpa (paper Fig. 6, the node-level parallel SpMSpV): the frontier
 /// loop splits into contiguous stripes, one per OpenMP thread, each
-/// accumulating into its own stamped SPA (and recording its first-touched
-/// rows); after the team barrier every thread emits a contiguous ROW stripe
-/// by min-merging the team SPAs, and the thread-order concatenation
-/// reproduces the serial arm's ascending dense scan bit for bit (min is
-/// associative and commutative, so the frontier partition is invisible in
-/// the output).
-///
-/// The merge is output-sensitive: when the team touched fewer distinct
-/// slots than there are local rows, each thread collects the touched rows
-/// of its stripe from the per-thread lists, sorts/dedups, and probes only
-/// those (O(touched log touched + touched * team) instead of the dense
-/// O(rows * team) scan — the ROADMAP PR-4 follow-up). Dense levels keep
-/// the branch-free dense scan. Both arms emit identical entries.
+/// accumulating into its own stamped SPA and emitting it as an ascending
+/// run (output-sensitive, as in the serial arm). After the team barrier
+/// every thread min-merges a contiguous ROW stripe of all runs, and the
+/// thread-order concatenation reproduces the serial arm's ascending
+/// emission bit for bit (min is associative and commutative, so the
+/// frontier partition is invisible in the output). Both phases run in
+/// parallel and cost O(touched) on sparse levels.
 void multiply_spa_hybrid(const DistSpMat& a, std::span<const VecEntry> frontier,
                          int threads, DistWorkspace& ws,
                          std::vector<VecEntry>& out, double* work) {
@@ -140,73 +175,26 @@ void multiply_spa_hybrid(const DistSpMat& a, std::span<const VecEntry> frontier,
       const auto col = a.column(e.idx - a.col_lo());
       edges += static_cast<double>(col.size());
       for (const index_t lr : col) {
-        const auto s = static_cast<std::size_t>(lr);
-        if (!spa.live(s)) mine.touched.push_back(lr);
-        spa.put_min(s, e.val);
+        spa.put_min(static_cast<std::size_t>(lr), e.val);
       }
     }
+    spa.emit_ascending([&](std::size_t s, index_t v) {
+      mine.emit.push_back(VecEntry{a.row_lo() + static_cast<index_t>(s), v});
+    });
 #pragma omp barrier
-    // Switch on the SUMMED per-thread touched counts — a conservative,
-    // non-deduplicated proxy for the distinct touched slots (threads
-    // touching the same hot rows inflate it by up to the team size, which
-    // only pushes toward the dense scan, never an over-long sparse merge).
-    // Every thread sees the same totals, so the branch is taken uniformly
-    // for a given team size, and either branch emits the same entries —
-    // the equivalence walls sweep both regimes.
-    std::size_t total_touched = 0;
-    for (int m = 0; m < team; ++m) {
-      total_touched += stripes[static_cast<std::size_t>(m)].touched.size();
-    }
-    auto& emit = mine.emit;
     const auto r = stripe_of(rows, team, t);
-    if (total_touched < rows) {
-      // Sparse level: merge only the rows somebody actually touched.
-      auto& cand = mine.gather;
-      cand.clear();
-      for (int m = 0; m < team; ++m) {
-        for (const index_t lr : stripes[static_cast<std::size_t>(m)].touched) {
-          const auto s = static_cast<std::size_t>(lr);
-          if (s >= r.lo && s < r.hi) cand.push_back(lr);
-        }
-      }
-      std::sort(cand.begin(), cand.end());
-      cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-      for (const index_t lr : cand) {
-        const auto s = static_cast<std::size_t>(lr);
-        bool live = false;
-        index_t best = 0;
-        for (int m = 0; m < team; ++m) {
-          const auto& other = spas[static_cast<std::size_t>(m)];
-          if (!other.live(s)) continue;
-          best = live ? std::min(best, other.val[s]) : other.val[s];
-          live = true;
-        }
-        emit.push_back(VecEntry{a.row_lo() + lr, best});
-      }
-    } else {
-      // Dense level: the branch-free full-stripe scan wins.
-      for (std::size_t s = r.lo; s < r.hi; ++s) {
-        bool live = false;
-        index_t best = 0;
-        for (int m = 0; m < team; ++m) {
-          const auto& other = spas[static_cast<std::size_t>(m)];
-          if (!other.live(s)) continue;
-          best = live ? std::min(best, other.val[s]) : other.val[s];
-          live = true;
-        }
-        if (live) {
-          emit.push_back(VecEntry{a.row_lo() + static_cast<index_t>(s), best});
-        }
-      }
-    }
+    merge_runs(stripes.first(static_cast<std::size_t>(team)),
+               a.row_lo() + static_cast<index_t>(r.lo),
+               a.row_lo() + static_cast<index_t>(r.hi), mine.heads,
+               mine.winners, mine.merged);
   }
   for (const auto& stripe : stripes) {
-    out.insert(out.end(), stripe.emit.begin(), stripe.emit.end());
+    out.insert(out.end(), stripe.merged.begin(), stripe.merged.end());
   }
-  // Charged as the serial loop's work: same edges, same emission scan. The
-  // per-row team probes are the price of the merge, paid in wall time only;
-  // the Comm divides these modeled units by the thread count.
-  *work = edges + kScanUnit * static_cast<double>(rows);
+  // Charged as the serial loop's work: same edges, same emitted rows. The
+  // per-run merge probes are the price of the reduction, paid in wall time
+  // only; the Comm divides these modeled units by the thread count.
+  *work = edges + static_cast<double>(out.size());
 }
 
 /// Hybrid kSortMerge: each thread heap-merges its contiguous frontier
@@ -231,37 +219,11 @@ void multiply_sort_merge_hybrid(const DistSpMat& a,
                              mine.cursors, mine.heap, mine.emit);
     heap_width += static_cast<double>(mine.cursors.size());
   }
-  auto& pos = ws.counters(stripes.size());
-  auto& winners = ws.merge_winners();
-  u64 probes = 0;
-  while (true) {
-    // One probe per stripe head per round: the same scan that finds the
-    // minimum index min-combines its value (in thread order, so the
-    // output stays bit-identical at any thread count) and collects the
-    // stripes holding it; only those advance.
-    winners.clear();
-    index_t best = 0;
-    index_t val = 0;
-    for (std::size_t t = 0; t < stripes.size(); ++t) {
-      const auto& emit = stripes[t].emit;
-      const auto at = static_cast<std::size_t>(pos[t]);
-      ++probes;
-      if (at >= emit.size()) continue;
-      if (winners.empty() || emit[at].idx < best) {
-        best = emit[at].idx;
-        val = emit[at].val;
-        winners.clear();
-        winners.push_back(static_cast<index_t>(t));
-      } else if (emit[at].idx == best) {
-        val = std::min(val, emit[at].val);
-        winners.push_back(static_cast<index_t>(t));
-      }
-    }
-    if (winners.empty()) break;
-    for (const index_t t : winners) ++pos[static_cast<std::size_t>(t)];
-    out.push_back(VecEntry{best, val});
-  }
-  ws.count_merge_probes(probes);
+  // The merge runs on the calling thread, through stripe 0's (otherwise
+  // unused) head and winner lists.
+  ws.count_merge_probes(merge_runs(
+      stripes, 0, std::numeric_limits<index_t>::max(), stripes[0].heads,
+      stripes[0].winners, out));
   // The serial formula over the partition-invariant totals: the number of
   // nonempty frontier columns does not depend on how stripes cut them.
   const double logk = heap_width == 0 ? 1.0 : std::log2(heap_width + 1.0);
@@ -284,20 +246,16 @@ SpmspvAccumulator env_accumulator() {
 
 }  // namespace
 
-SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested,
-                                      double frontier_edges,
-                                      index_t local_rows) {
+SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested) {
   if (requested != SpmspvAccumulator::kAuto) return requested;
   if (const auto pinned = env_accumulator(); pinned != SpmspvAccumulator::kAuto) {
     return pinned;
   }
-  // BENCH_1.json places the crossover near |frontier| 16-256 on a graph
-  // with avg degree ~27 and 8000 local rows: the SPA's dense emission scan
-  // (kScanUnit * rows) amortizes once the touched edges reach ~1/8 of the
-  // local rows, which on that graph is frontier ~37.
-  return frontier_edges >= kScanUnit * static_cast<double>(local_rows)
-             ? SpmspvAccumulator::kSpa
-             : SpmspvAccumulator::kSortMerge;
+  // With output-sensitive emission the SPA costs O(edges + touched) on
+  // sparse levels and O(edges + rows) only where the rows are mostly
+  // touched anyway, so it matches or beats the heap merge's
+  // O(edges log k) on every level shape.
+  return SpmspvAccumulator::kSpa;
 }
 
 std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
@@ -314,20 +272,7 @@ std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
     DRCM_CHECK(e.idx >= a.col_lo() && e.idx < a.col_hi(),
                "received frontier index outside the local column chunk");
   }
-  if (acc == SpmspvAccumulator::kAuto) {
-    acc = env_accumulator();
-  }
-  if (acc == SpmspvAccumulator::kAuto) {
-    // Heuristic actually consulted: the crossover needs the frontier's
-    // local edge volume, an O(|frontier|) col_ptr sweep (cheap next to
-    // the O(edges) multiply, and skipped entirely when an arm is pinned).
-    // Thread-independent, so flat and hybrid runs pick the same arm.
-    double edges = 0;
-    for (const auto& e : frontier) {
-      edges += static_cast<double>(a.column(e.idx - a.col_lo()).size());
-    }
-    acc = resolve_accumulator(acc, edges, a.local_rows());
-  }
+  acc = resolve_accumulator(acc);
   if (used) *used = acc;
   auto& out = ws.partial_scratch();
   if (acc == SpmspvAccumulator::kSpa) {
@@ -393,12 +338,11 @@ DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
     slots.put_min(static_cast<std::size_t>(e.idx - m_lo), e.val);
   }
   std::vector<VecEntry> merged;
-  for (index_t g = m_lo; g < m_hi; ++g) {
-    const auto s = static_cast<std::size_t>(g - m_lo);
-    if (slots.live(s)) merged.push_back(VecEntry{g, slots.val[s]});
-  }
-  work += static_cast<double>(partial.size() + received.size()) +
-          kScanUnit * static_cast<double>(m_hi - m_lo);
+  slots.emit_ascending([&](std::size_t s, index_t v) {
+    merged.push_back(VecEntry{m_lo + static_cast<index_t>(s), v});
+  });
+  work += static_cast<double>(partial.size() + received.size() +
+                              merged.size());
   world.charge_compute(work);
 
   // Stage 3c: the merge range I hold is owned by my transpose partner (and

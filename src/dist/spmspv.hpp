@@ -23,41 +23,30 @@
 
 namespace drcm::dist {
 
-/// Work units charged per element of a sequential stamp-check sweep.
-/// MachineParams::gamma is calibrated for one random CSR edge visit; a
-/// predictable linear sweep over a dense array costs a fraction of that,
-/// and charging it at full weight would overstate the SPA emission scans
-/// relative to the trace model's output-sensitive analysis. Doubles as the
-/// kAuto crossover constant: the SPA arm pays kScanUnit * local_rows for
-/// its emission scan, so it wins once the frontier's edge volume clears
-/// that bar.
-inline constexpr double kScanUnit = 0.125;
-
 /// Local accumulation policy of stage 2 — the kernel-design tradeoff
 /// bench/micro_spmspv.cpp measures.
 enum class SpmspvAccumulator {
   /// Dense sparse accumulator: O(local_rows) array with timestamp reset
-  /// (no clearing between calls) and a dense emission scan. Wins on dense
-  /// frontiers where the scan amortizes over many touched rows.
+  /// (no clearing between calls). Emission is output-sensitive
+  /// (StampedSlots::emit_ascending): sparse levels sort the touched rows,
+  /// dense levels scan the row range. Measured faster than the heap merge
+  /// on both the deep (~100-vertex frontiers) and the wide (bulk)
+  /// perfbench ordering workloads.
   kSpa,
-  /// Heap merge of the (already sorted) column row lists. No dense scan,
-  /// but pays a log(k) comparison factor per edge; wins on tiny frontiers.
+  /// Heap merge of the (already sorted) column row lists. No dense state,
+  /// but pays a log(k) comparison factor per edge. Kept as a pinned arm:
+  /// it is the paper's reference accumulator.
   kSortMerge,
-  /// Degree-aware selection per call: kSpa once the frontier's local edge
-  /// count reaches 1/8 of the local rows (the BENCH_1.json crossover),
-  /// kSortMerge below it. The DRCM_SPMSPV_ACC environment variable
-  /// ("spa" / "sortmerge" / "auto") overrides the heuristic so benches can
-  /// pin either arm without recompiling.
+  /// Resolves to kSpa, unless the DRCM_SPMSPV_ACC environment variable
+  /// ("spa" / "sortmerge" / "auto") pins an arm, so benches can switch
+  /// arms without recompiling.
   kAuto,
 };
 
-/// Resolves kAuto to a concrete arm from the frontier's local expansion
-/// volume (sum of local column lengths) versus the local row count,
-/// honoring the DRCM_SPMSPV_ACC override. Returns kSpa or kSortMerge;
-/// non-kAuto requests pass through unchanged.
-SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested,
-                                      double frontier_edges,
-                                      index_t local_rows);
+/// Resolves kAuto to a concrete arm: the DRCM_SPMSPV_ACC override when set,
+/// kSpa otherwise. Returns kSpa or kSortMerge; non-kAuto requests pass
+/// through unchanged.
+SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested);
 
 /// Stage 2 alone: multiplies my block by the (index-sorted) gathered
 /// frontier into per-row partial minima with GLOBAL row indices, ascending.
@@ -71,9 +60,10 @@ SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested,
 /// workspace arms — stamped SPAs for kSpa, cursor/heap stripes for
 /// kSortMerge — and the per-thread emissions are min-merged in a
 /// deterministic order, so the output is BIT-IDENTICAL to the serial loop
-/// at any thread count. The charged work units are the serial loop's
-/// (min-combines are partition-invariant); the caller's Comm divides
-/// modeled seconds by its thread count.
+/// at any thread count. The charged work units are the serial loop's: they
+/// are computed from edges and emitted rows, which do not depend on the
+/// thread partition; the caller's Comm divides modeled seconds by its
+/// thread count.
 std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
                                              std::span<const VecEntry> frontier,
                                              SpmspvAccumulator acc,

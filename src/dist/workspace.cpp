@@ -20,10 +20,6 @@ std::vector<std::pair<index_t, std::size_t>>& DistWorkspace::heap_storage() {
   return checkout_cleared(heap_, heap_cap_);
 }
 
-std::vector<index_t>& DistWorkspace::merge_winners() {
-  return checkout_cleared(merge_winners_, merge_winners_cap_);
-}
-
 std::vector<VecEntry>& DistWorkspace::frontier_scratch() {
   return checkout_cleared(frontier_, frontier_cap_);
 }
@@ -147,8 +143,8 @@ std::span<ThreadStripe> DistWorkspace::thread_stripes(std::size_t threads) {
   for (std::size_t t = 0; t < threads; ++t) {
     auto& s = thread_stripes_[t];
     const std::size_t cap = s.cursors.capacity() + s.heap.capacity() +
-                            s.emit.capacity() + s.touched.capacity() +
-                            s.gather.capacity();
+                            s.emit.capacity() + s.merged.capacity() +
+                            s.heads.capacity() + s.winners.capacity();
     if (cap != thread_stripe_caps_[t]) {
       ++reallocations_;
       thread_stripe_caps_[t] = cap;
@@ -156,8 +152,9 @@ std::span<ThreadStripe> DistWorkspace::thread_stripes(std::size_t threads) {
     s.cursors.clear();
     s.heap.clear();
     s.emit.clear();
-    s.touched.clear();
-    s.gather.clear();
+    s.merged.clear();
+    s.heads.clear();
+    s.winners.clear();
   }
   return {thread_stripes_.data(), threads};
 }

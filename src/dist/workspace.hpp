@@ -21,6 +21,7 @@
 //     pin the "no reallocation after warm-up" property.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <utility>
 #include <vector>
@@ -30,35 +31,93 @@
 
 namespace drcm::dist {
 
+/// Sorted-emission crossover of StampedSlots::emit_ascending: the touched
+/// list is sorted and walked while it holds fewer than 1/kSortedEmissionRatio
+/// of the epoch's slot range, and the range is scanned densely otherwise.
+/// Measured, not tuned per call (4-vCPU Xeon VM, g++ 12 -O2): sorting t
+/// random slot ids plus emitting costs ~10-50 ns per id (the log factor
+/// grows with t), a stamp-check scan ~1.3 ns per slot, so the two meet
+/// near t = range/16..range/32 for ranges of 7.5k-120k slots. order_deep's levels (~100-vertex frontiers on
+/// 7.5k-30k-slot ranges, t/range <= 0.02) take the sorted path; the bulk
+/// levels of order_wide (t/range well above 0.1) keep the dense scan.
+inline constexpr std::size_t kSortedEmissionRatio = 32;
+
 /// Dense accumulator array with timestamp reset: slot s holds a valid value
 /// only when stamp[s] equals the epoch of the latest begin(). Consecutive
 /// uses pay O(touched), not O(size) clearing, and a use over a smaller
 /// range than the last one cannot observe the previous caller's values.
+///
+/// Every slot's first put_min of an epoch is recorded in `touched` while
+/// the list is short (sorted()), which makes emission OUTPUT-SENSITIVE:
+/// emit_ascending costs O(t log t) for t touched slots on sparse levels
+/// instead of an O(range) scan. Recording stops once the list reaches the
+/// crossover, since the dense scan will then run anyway; this also caps
+/// the list at range / kSortedEmissionRatio entries.
 struct StampedSlots {
   std::vector<index_t> val;
   std::vector<u64> stamp;
+  /// Slots written in the current epoch, each once, in first-touch order
+  /// (ascending after a sorted emit_ascending). Complete only while
+  /// sorted() holds.
+  std::vector<index_t> touched;
   u64 epoch = 0;
+  /// Slot range [0, range) opened by the latest begin().
+  std::size_t range = 0;
+  /// `touched` capacity seen at the latest begin(): growth performed by
+  /// put_min is reported at the next begin().
+  std::size_t touched_cap = 0;
 
-  /// Opens a fresh epoch over `n` slots; returns true if storage grew.
+  /// Opens a fresh epoch over `n` slots; returns true if storage grew
+  /// (including touched-list growth during the previous epoch).
   bool begin(std::size_t n) {
     ++epoch;
+    range = n;
+    touched.clear();
+    bool grew = touched.capacity() != touched_cap;
+    touched_cap = touched.capacity();
     if (val.size() < n) {
       val.resize(n);
       stamp.resize(n, 0);
-      return true;
+      grew = true;
     }
-    return false;
+    return grew;
   }
 
   bool live(std::size_t s) const { return stamp[s] == epoch; }
+
+  /// True while `touched` lists every live slot and is short enough for
+  /// emit_ascending to sort it.
+  bool sorted() const {
+    return touched.size() * kSortedEmissionRatio < range;
+  }
 
   /// Min-combines `v` into slot s (first write wins unconditionally).
   void put_min(std::size_t s, index_t v) {
     if (stamp[s] != epoch) {
       stamp[s] = epoch;
       val[s] = v;
+      if (sorted()) touched.push_back(static_cast<index_t>(s));
     } else if (v < val[s]) {
       val[s] = v;
+    }
+  }
+
+  /// Calls emit(s, val[s]) for every live slot, once each, in ascending
+  /// slot order: the one emission routine of the distributed kernels. A
+  /// short touched list (next to the range, see kSortedEmissionRatio) is
+  /// sorted in place and walked; otherwise the range is scanned densely.
+  /// Both paths emit the same sequence.
+  template <class Emit>
+  void emit_ascending(Emit&& emit) {
+    if (sorted()) {
+      std::sort(touched.begin(), touched.end());
+      for (const index_t s : touched) {
+        emit(static_cast<std::size_t>(s), val[static_cast<std::size_t>(s)]);
+      }
+    } else {
+      for (std::size_t s = 0; s < range; ++s) {
+        if (stamp[s] == epoch) emit(s, val[s]);
+      }
     }
   }
 };
@@ -80,25 +139,21 @@ struct SortRec {
 
 /// Per-thread stage-2 stripe of the hybrid node-level SpMSpV: thread t of
 /// the OpenMP team owns a contiguous slice of the gathered frontier and
-/// merges it through its own cursor/heap arrays (kSortMerge) or emits its
-/// row-stripe of the merged SPA scan (kSpa) into `emit`, so no two threads
-/// ever share mutable state. The calling thread then concatenates /
-/// min-merges the emissions in thread order — a deterministic reduction
-/// that keeps the hybrid output bit-identical to the serial loop at any
-/// thread count.
-///
-/// `touched` records the rows this thread's SPA first-touched during
-/// accumulation, which makes the kSpa merge OUTPUT-SENSITIVE on sparse
-/// levels: instead of probing team x local_rows SPA slots, each emitting
-/// thread collects the team's touched rows falling in its row stripe into
-/// `gather`, sorts/dedups them, and probes only those (team probes per
-/// emitted row, same bound as before — but zero scans of untouched rows).
+/// turns it into an ascending, duplicate-free run in `emit` — by heap merge
+/// through its own cursor/heap arrays (kSortMerge) or by the ascending
+/// emission of its own stamped SPA (kSpa) — so no two threads ever share
+/// mutable state. The runs are then min-merged in thread order, a
+/// deterministic reduction that keeps the hybrid output bit-identical to
+/// the serial loop at any thread count. The kSpa arm merges in parallel:
+/// thread t min-merges ROW stripe t of every run into `merged`, through
+/// its own run `heads` and `winners` lists.
 struct ThreadStripe {
   std::vector<MergeCursor> cursors;
   std::vector<std::pair<index_t, std::size_t>> heap;
   std::vector<VecEntry> emit;
-  std::vector<index_t> touched;
-  std::vector<index_t> gather;
+  std::vector<VecEntry> merged;
+  std::vector<index_t> heads;
+  std::vector<index_t> winners;
 };
 
 /// One cell of the sparse SORTPERM histogram: how many elements with parent
@@ -127,9 +182,6 @@ class DistWorkspace {
   /// kSortMerge cursor array and heap storage, cleared.
   std::vector<MergeCursor>& cursors();
   std::vector<std::pair<index_t, std::size_t>>& heap_storage();
-  /// Winner-stripe list of the hybrid stage-2b min-merge, cleared. Holds
-  /// at most one id per thread stripe.
-  std::vector<index_t>& merge_winners();
 
   /// Outgoing frontier buffer (the SET-refreshed entries a kernel
   /// publishes). Kept distinct from partial_scratch(): the published span
@@ -201,10 +253,10 @@ class DistWorkspace {
   /// nothing, so a rank alternating hybrid and flat calls stays
   /// allocation-free after warm-up.
   std::span<StampedSlots> thread_spas(std::size_t threads, std::size_t rows);
-  /// Per-thread sort-merge stripes (cursors + heap + emission buffer),
-  /// each cleared with capacity retained; realloc accounting mirrors
-  /// thread_spas. The kSpa arm uses only the `emit` buffers (its row-stripe
-  /// emission); the kSortMerge arm uses all three.
+  /// Per-thread stage-2 stripes, every buffer cleared with capacity
+  /// retained; realloc accounting mirrors thread_spas. The kSortMerge arm
+  /// uses cursors, heap and emit; the kSpa arm uses emit (its SPA's run)
+  /// and merged / heads / winners (its row stripe of the parallel merge).
   std::span<ThreadStripe> thread_stripes(std::size_t threads);
 
   /// Plain index scratch of exactly `n` elements, contents unspecified
@@ -223,8 +275,8 @@ class DistWorkspace {
   /// by a caller's push_backs is detected at the buffer's next checkout.
   u64 reallocations() const { return reallocations_; }
 
-  /// Stripe-head probes performed by the hybrid min-merge since this
-  /// workspace was constructed — the op-count ledger the single-probe
+  /// Stripe-head probes performed by the hybrid kSortMerge min-merge since
+  /// this workspace was constructed — the op-count ledger the single-probe
   /// merge is pinned on: emitting E distinct rows from S stripes costs
   /// exactly (E + 1) * S probes (every round reads each head once; the
   /// final round finds all heads exhausted).
@@ -262,7 +314,6 @@ class DistWorkspace {
   StampedSlots merge_slots_;
   std::vector<MergeCursor> cursors_;
   std::vector<std::pair<index_t, std::size_t>> heap_;
-  std::vector<index_t> merge_winners_;
   std::vector<VecEntry> frontier_;
   std::vector<VecEntry> partial_;
   std::vector<VecEntry> gather_;
@@ -291,12 +342,11 @@ class DistWorkspace {
   std::vector<VecEntry> rank_recv_;
   std::vector<StampedSlots> thread_spas_;
   std::vector<ThreadStripe> thread_stripes_;
-  /// Per-arm capacity ledgers of the thread stripes (sum of the three
+  /// Per-arm capacity ledgers of the thread stripes (sum of all their
   /// buffers), so shrinking and re-growing the thread count between calls
   /// is not misread as a reallocation.
   std::vector<std::size_t> thread_stripe_caps_;
-  std::size_t cursors_cap_ = 0, heap_cap_ = 0, merge_winners_cap_ = 0,
-              frontier_cap_ = 0,
+  std::size_t cursors_cap_ = 0, heap_cap_ = 0, frontier_cap_ = 0,
               partial_cap_ = 0, gather_cap_ = 0, recv_cap_ = 0,
               merge_route_cap_ = 0, entry_route_cap_ = 0,
               fused_route_cap_ = 0, mat_route_cap_ = 0, vecd_route_cap_ = 0,

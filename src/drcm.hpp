@@ -12,7 +12,6 @@
 #include "common/timer.hpp"
 #include "common/types.hpp"
 
-#include "mpsim/barrier.hpp"
 #include "mpsim/comm.hpp"
 #include "mpsim/cost_model.hpp"
 #include "mpsim/runtime.hpp"

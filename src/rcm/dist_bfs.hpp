@@ -22,7 +22,8 @@ struct DistBfsResult {
 /// Runs a full BFS from `root`, writing levels into the dense vector
 /// `levels` (reset to kNoVertex first). `spmspv_phase` / `other_phase`
 /// control the Figure-4 cost attribution (peripheral vs ordering); `acc`
-/// selects the SpMSpV accumulator arm (default: degree-aware auto-select).
+/// selects the SpMSpV accumulator arm (default kAuto: the SPA unless
+/// DRCM_SPMSPV_ACC pins an arm).
 /// Collective.
 DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
                        dist::DistDenseVec& levels, dist::ProcGrid2D& grid,

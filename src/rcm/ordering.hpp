@@ -11,7 +11,7 @@
 // kAuto is the portfolio selector: cheap O(n + nnz) per-matrix proxies
 // (natural bandwidth, RMS wavefront, density, component count) computed
 // once on the driver, reduced to a deterministic choice — the same
-// generalization step SpmspvAccumulator::kAuto took for accumulators,
+// idea of an auto arm SpmspvAccumulator::kAuto has for accumulators,
 // lifted to whole algorithms. The choice and its proxies are recorded in
 // OrderSolveResponse so callers can audit every auto decision.
 #pragma once

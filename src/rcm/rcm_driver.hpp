@@ -43,8 +43,8 @@ struct DistRcmOptions {
   u64 seed = 0x5eed;
   /// Which SORTPERM ranks the levels (bucket = the paper's algorithm).
   SortKind sort = SortKind::kBucket;
-  /// SpMSpV accumulator arm for every BFS level (kAuto = degree-aware
-  /// selection per level; DRCM_SPMSPV_ACC overrides). All arms produce
+  /// SpMSpV accumulator arm for every BFS level (kAuto = the SPA;
+  /// DRCM_SPMSPV_ACC overrides). All arms produce
   /// bit-identical orderings — this is a performance knob.
   dist::SpmspvAccumulator accumulator = dist::SpmspvAccumulator::kAuto;
   /// Run each ordering level through the fused dist::cm_level_step

@@ -222,19 +222,15 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
   }
 }
 
-TEST(LevelKernelEquivalence, AutoSelectResolvesByCrossover) {
-  // The BENCH_1.json rule: kSpa once the frontier's local edge volume
-  // reaches kScanUnit * local_rows, kSortMerge below.
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto, 432.0, 8000),
-            SpmspvAccumulator::kSortMerge);  // frontier 16 on the bench graph
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto, 6912.0, 8000),
-            SpmspvAccumulator::kSpa);  // frontier 256
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto, 1000.0, 8000),
-            SpmspvAccumulator::kSpa);  // exactly at the bar
-  // Pinned arms pass through untouched.
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kSpa, 0.0, 8000),
+TEST(LevelKernelEquivalence, AutoSelectResolvesToSpa) {
+  // With output-sensitive SPA emission there is no frontier-size crossover
+  // left: kAuto (DRCM_SPMSPV_ACC unset) is the SPA on every level.
+  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto),
             SpmspvAccumulator::kSpa);
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kSortMerge, 1e9, 8000),
+  // Pinned arms pass through untouched.
+  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kSpa),
+            SpmspvAccumulator::kSpa);
+  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kSortMerge),
             SpmspvAccumulator::kSortMerge);
 }
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "dist/dist_matrix.hpp"
 #include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
@@ -42,6 +45,95 @@ TEST(StampedSlots, GrowthReportsReallocation) {
   EXPECT_FALSE(s.begin(8));
   EXPECT_FALSE(s.begin(4));
   EXPECT_TRUE(s.begin(16));
+}
+
+/// Emits `s` through emit_ascending as (slot, value) pairs.
+std::vector<std::pair<std::size_t, index_t>> emitted(StampedSlots& s) {
+  std::vector<std::pair<std::size_t, index_t>> out;
+  s.emit_ascending([&](std::size_t slot, index_t v) {
+    out.emplace_back(slot, v);
+  });
+  return out;
+}
+
+TEST(StampedSlots, EmissionIdenticalOnBothSidesOfTheCrossover) {
+  // Touched counts just below the crossover take the sorted path, at and
+  // above it the dense scan; both must emit the same ascending sequence.
+  // The path taken is visible in `touched`: only the sorted path sorts it,
+  // and recording stops at the crossover.
+  constexpr std::size_t bar = 128;
+  constexpr std::size_t kRange = bar * kSortedEmissionRatio;
+  Rng rng(11);
+  for (const std::size_t count : {bar - 1, bar, bar + 1}) {
+    std::vector<std::size_t> slots(kRange);
+    for (std::size_t i = 0; i < kRange; ++i) slots[i] = i;
+    rng.shuffle(slots.begin(), slots.end());
+    StampedSlots s;
+    s.begin(kRange);
+    std::vector<std::pair<std::size_t, index_t>> want;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto v = static_cast<index_t>(rng.next_below(1000));
+      s.put_min(slots[i], v);
+      want.emplace_back(slots[i], v);
+    }
+    std::sort(want.begin(), want.end());
+    ASSERT_FALSE(std::is_sorted(s.touched.begin(), s.touched.end()));
+    EXPECT_EQ(s.touched.size(), std::min(count, bar));
+    EXPECT_EQ(emitted(s), want) << "touched=" << count;
+    EXPECT_EQ(std::is_sorted(s.touched.begin(), s.touched.end()), count < bar)
+        << "touched=" << count;
+  }
+}
+
+TEST(StampedSlots, DuplicateTouchesEmitOnceWithTheMinimum) {
+  for (const std::size_t range : {std::size_t{4096}, std::size_t{8}}) {
+    StampedSlots s;
+    s.begin(range);  // 4096: sorted path; 8: dense path
+    s.put_min(5, 40);
+    s.put_min(2, 9);
+    s.put_min(5, 7);
+    s.put_min(5, 30);
+    s.put_min(2, 11);
+    if (range == 4096) EXPECT_EQ(s.touched.size(), 2u);  // one per slot
+    const std::vector<std::pair<std::size_t, index_t>> want{{2, 9}, {5, 7}};
+    EXPECT_EQ(emitted(s), want) << "range=" << range;
+  }
+}
+
+TEST(StampedSlots, SmallerEpochCannotEmitStaleSlots) {
+  // A large epoch leaves live-looking values everywhere; a later, smaller
+  // epoch must emit only its own writes on either path.
+  for (const std::size_t writes : {std::size_t{1}, std::size_t{40}}) {
+    StampedSlots s;
+    s.begin(2000);
+    for (std::size_t i = 0; i < 2000; ++i) s.put_min(i, 3);
+    emitted(s);
+    s.begin(64);
+    EXPECT_TRUE(s.touched.empty());
+    std::vector<std::pair<std::size_t, index_t>> want;
+    for (std::size_t i = 0; i < writes; ++i) {
+      s.put_min(63 - i, static_cast<index_t>(100 + i));
+      want.emplace_back(63 - i, static_cast<index_t>(100 + i));
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(emitted(s), want) << "writes=" << writes;
+  }
+}
+
+TEST(StampedSlots, TouchedGrowthIsCountedThenSettles) {
+  DistWorkspace ws;
+  const auto level = [&] {
+    auto& spa = ws.spa(4096);
+    for (std::size_t i = 0; i < 300; ++i) spa.put_min(i * 13, 1);
+    emitted(spa);
+  };
+  level();
+  const u64 first = ws.reallocations();
+  level();  // the touched list grew during the first level
+  EXPECT_GT(ws.reallocations(), first);
+  const u64 settled = ws.reallocations();
+  for (int i = 0; i < 5; ++i) level();
+  EXPECT_EQ(ws.reallocations(), settled);
 }
 
 TEST(ThreadArms, StampedSlotsAreIsolatedBetweenThreads) {
@@ -82,38 +174,40 @@ TEST(ThreadArms, CheckoutOpensAFreshEpochOnEveryArm) {
 }
 
 TEST(ThreadArms, TouchedRowListsClearAtCheckoutAndCountCapacity) {
-  // The output-sensitive kSpa merge records first-touched rows per thread;
-  // the lists must behave like every other stripe buffer: cleared at
+  // Output-sensitive emission records each SPA's first-touched slots; the
+  // lists must behave like every other workspace buffer: cleared at
   // checkout with capacity retained, growth observed by the realloc ledger.
   DistWorkspace ws;
-  auto stripes = ws.thread_stripes(2);
-  stripes[0].touched.assign(64, 5);
-  stripes[1].gather.assign(32, 7);
-  const auto touched_cap = stripes[0].touched.capacity();
-  auto again = ws.thread_stripes(2);
+  auto spas = ws.thread_spas(2, 4096);
+  for (std::size_t s = 0; s < 64; ++s) spas[0].put_min(s, 5);
+  for (std::size_t s = 0; s < 32; ++s) spas[1].put_min(2 * s, 7);
+  const auto touched_cap = spas[0].touched.capacity();
+  const u64 before = ws.reallocations();
+  auto again = ws.thread_spas(2, 4096);
+  EXPECT_GT(ws.reallocations(), before);  // growth seen at this checkout
   EXPECT_TRUE(again[0].touched.empty());
-  EXPECT_TRUE(again[1].gather.empty());
+  EXPECT_TRUE(again[1].touched.empty());
   EXPECT_EQ(again[0].touched.capacity(), touched_cap);
-  // The growth was observed at that checkout; steady reuse is then free.
+  // Steady reuse is then free.
   const u64 settled = ws.reallocations();
-  auto steady = ws.thread_stripes(2);
-  steady[0].touched.assign(64, 9);
-  steady[1].gather.assign(32, 9);
-  ws.thread_stripes(2);
+  for (std::size_t s = 0; s < 64; ++s) again[0].put_min(s, 9);
+  for (std::size_t s = 0; s < 32; ++s) again[1].put_min(2 * s, 9);
+  ws.thread_spas(2, 4096);
   EXPECT_EQ(ws.reallocations(), settled);
 }
 
 TEST(ThreadArms, SparseAndDenseMergeRegimesEmitIdenticalEntries) {
-  // The hybrid kSpa merge switches between the touched-row (sparse) and
-  // dense-stripe scans on the team's touched total; both regimes — and
-  // every thread count — must emit exactly the serial arm's output. A
-  // 1-entry frontier exercises the sparse branch, the full frontier the
-  // dense branch.
-  const auto a = gen::grid3d(5, 5, 6);
+  // Each hybrid kSpa thread emits its SPA by sorted touched list or by
+  // dense scan, depending on how much of the 1000-row range it touched;
+  // both regimes — and every thread count — must emit exactly the serial
+  // arm's output. A 1-entry frontier (<= 7 touched rows, under the
+  // 1000/kSortedEmissionRatio bar) exercises the sorted path, the full
+  // frontier the dense path.
+  const auto a = gen::grid3d(10, 10, 10);
   Runtime::run(1, [&](Comm& world) {
     ProcGrid2D grid(world);
     DistSpMat mat(grid, a);
-    for (const index_t stride : {a.n(), index_t{7}, index_t{1}}) {
+    for (const index_t stride : {a.n(), index_t{97}, index_t{7}, index_t{1}}) {
       std::vector<VecEntry> frontier;
       for (index_t v = 0; v < a.n(); v += stride) {
         frontier.push_back(VecEntry{v, a.n() - v});

@@ -1,74 +1,54 @@
-// Unit tests for the reusable SPMD barrier.
-#include "mpsim/barrier.hpp"
-
+// Unit tests for Comm::barrier(), the runtime's reusable rank barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
-#include <vector>
+
+#include "mpsim/runtime.hpp"
 
 namespace drcm::mps {
 namespace {
 
-TEST(Barrier, SingleParticipantNeverBlocks) {
-  Barrier b(1);
-  for (int i = 0; i < 100; ++i) b.arrive_and_wait();
-  SUCCEED();
+TEST(CommBarrier, SingleParticipantNeverBlocks) {
+  const auto report = Runtime::run(1, [](Comm& world) {
+    for (int i = 0; i < 100; ++i) world.barrier();
+  });
+  EXPECT_EQ(report.ranks[0].total().barrier_crossings, 100u);
 }
 
-TEST(Barrier, RejectsNonPositiveParticipantCount) {
-  EXPECT_THROW(Barrier(0), CheckError);
-  EXPECT_THROW(Barrier(-3), CheckError);
-}
-
-TEST(Barrier, SynchronizesPhases) {
-  // Each thread increments a counter, crosses the barrier, and checks that
+TEST(CommBarrier, SynchronizesPhases) {
+  // Each rank increments a counter, crosses the barrier, and checks that
   // every increment from the previous phase is visible.
-  constexpr int kThreads = 8;
+  constexpr int kRanks = 8;
   constexpr int kPhases = 50;
-  Barrier barrier(kThreads);
   std::atomic<int> counter{0};
   std::atomic<bool> failed{false};
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int phase = 1; phase <= kPhases; ++phase) {
-        counter.fetch_add(1, std::memory_order_relaxed);
-        barrier.arrive_and_wait();
-        if (counter.load(std::memory_order_relaxed) < phase * kThreads) {
-          failed.store(true);
-        }
-        barrier.arrive_and_wait();
+  Runtime::run(kRanks, [&](Comm& world) {
+    for (int phase = 1; phase <= kPhases; ++phase) {
+      counter.fetch_add(1, std::memory_order_relaxed);
+      world.barrier();
+      if (counter.load(std::memory_order_relaxed) < phase * kRanks) {
+        failed.store(true);
       }
-    });
-  }
-  for (auto& t : threads) t.join();
+      world.barrier();
+    }
+  });
   EXPECT_FALSE(failed.load());
-  EXPECT_EQ(counter.load(), kThreads * kPhases);
+  EXPECT_EQ(counter.load(), kRanks * kPhases);
 }
 
-TEST(Barrier, ReportsParticipantCount) {
-  Barrier b(7);
-  EXPECT_EQ(b.participants(), 7);
-}
-
-TEST(Barrier, ManyReusesSameBarrier) {
-  constexpr int kThreads = 4;
-  Barrier barrier(kThreads);
+TEST(CommBarrier, ManyReusesSameBarrier) {
+  constexpr int kRanks = 4;
   std::atomic<long> sum{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        sum.fetch_add(1, std::memory_order_relaxed);
-        barrier.arrive_and_wait();
-      }
-    });
+  const auto report = Runtime::run(kRanks, [&](Comm& world) {
+    for (int i = 0; i < 500; ++i) {
+      sum.fetch_add(1, std::memory_order_relaxed);
+      world.barrier();
+    }
+  });
+  EXPECT_EQ(sum.load(), 500L * kRanks);
+  for (const auto& rank : report.ranks) {
+    EXPECT_EQ(rank.total().barrier_crossings, 500u);
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sum.load(), 500L * kThreads);
 }
 
 }  // namespace
