@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
   //   natural — the replicated-CSR dist_pcg baseline (every rank re-slices
   //             the full matrix; its ledger records the gathered footprint);
   //   RCM     — the fully distributed pipeline in ONE call: RCM on the 2D
-  //             grid, value-carrying redistribute, 2D->1D re-owning,
-  //             distributed-matrix CG. No replicated CSR between ordering
+  //             grid, one-shot value-carrying redistribution straight
+  //             into 1D row blocks, distributed-matrix CG. No replicated CSR between ordering
   //             and solution; the mpsim ledger bounds every rank's peak.
   std::printf("validation, real distributed runs (p=4, rtol 1e-8):\n");
   const auto m_nat = sparse::gen::with_laplacian_values(natural_pattern, 0.02);

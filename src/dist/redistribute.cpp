@@ -5,221 +5,6 @@
 
 namespace drcm::dist {
 
-namespace {
-
-// MatEntry / MatEntryV (the in-flight entry types) live in vec_entry.hpp so
-// the per-rank workspace can own their steady-state routing buffers.
-
-/// Pattern-only arm: count per column, prefix, fill, sort row lists.
-DistSpMat rebuild_pattern(const std::vector<MatEntry>& recv, index_t n,
-                          ProcGrid2D& grid, const VectorDist& dist) {
-  const index_t row_lo = dist.chunk_lo(grid.row());
-  const index_t row_hi = dist.chunk_lo(grid.row() + 1);
-  const index_t col_lo = dist.chunk_lo(grid.col());
-  const index_t col_hi = dist.chunk_lo(grid.col() + 1);
-  const auto ncols = static_cast<std::size_t>(dist.chunk_size(grid.col()));
-  std::vector<nnz_t> col_ptr(ncols + 1, 0);
-  for (const auto& e : recv) {
-    // Receive-path range check (always on): the entries arrived over the
-    // wire and their coordinates index the local rebuild arrays.
-    DRCM_CHECK(e.row >= row_lo && e.row < row_hi && e.col >= col_lo &&
-                   e.col < col_hi,
-               "received matrix entry outside the owned block");
-    ++col_ptr[static_cast<std::size_t>(e.col - col_lo) + 1];
-  }
-  for (std::size_t c = 0; c < ncols; ++c) col_ptr[c + 1] += col_ptr[c];
-  std::vector<index_t> rows(recv.size());
-  std::vector<nnz_t> next(col_ptr.begin(), col_ptr.end() - 1);
-  for (const auto& e : recv) {
-    const auto lc = static_cast<std::size_t>(e.col - col_lo);
-    rows[static_cast<std::size_t>(next[lc]++)] = e.row - row_lo;
-  }
-  for (std::size_t c = 0; c < ncols; ++c) {
-    std::sort(rows.begin() + static_cast<std::ptrdiff_t>(col_ptr[c]),
-              rows.begin() + static_cast<std::ptrdiff_t>(col_ptr[c + 1]));
-  }
-  return DistSpMat::from_local_csc(grid, n, std::move(col_ptr),
-                                   std::move(rows));
-}
-
-/// Value-carrying arm: one wholesale (col, row) sort keeps the values in
-/// lockstep with the pattern through the rebuild.
-DistSpMat rebuild_with_values(std::vector<MatEntryV> recv, index_t n,
-                              ProcGrid2D& grid, const VectorDist& dist) {
-  const index_t row_lo = dist.chunk_lo(grid.row());
-  const index_t row_hi = dist.chunk_lo(grid.row() + 1);
-  const index_t col_lo = dist.chunk_lo(grid.col());
-  const index_t col_hi = dist.chunk_lo(grid.col() + 1);
-  const auto ncols = static_cast<std::size_t>(dist.chunk_size(grid.col()));
-  std::sort(recv.begin(), recv.end(), [](const MatEntryV& a, const MatEntryV& b) {
-    return a.col != b.col ? a.col < b.col : a.row < b.row;
-  });
-  std::vector<nnz_t> col_ptr(ncols + 1, 0);
-  std::vector<index_t> rows(recv.size());
-  std::vector<double> vals(recv.size());
-  for (std::size_t k = 0; k < recv.size(); ++k) {
-    // Receive-path range check (always on), as in rebuild_pattern.
-    DRCM_CHECK(recv[k].row >= row_lo && recv[k].row < row_hi &&
-                   recv[k].col >= col_lo && recv[k].col < col_hi,
-               "received matrix entry outside the owned block");
-    ++col_ptr[static_cast<std::size_t>(recv[k].col - col_lo) + 1];
-    rows[k] = recv[k].row - row_lo;
-    vals[k] = recv[k].val;
-  }
-  for (std::size_t c = 0; c < ncols; ++c) col_ptr[c + 1] += col_ptr[c];
-  return DistSpMat::from_local_csc(grid, n, std::move(col_ptr),
-                                   std::move(rows), std::move(vals),
-                                   /*with_values=*/true);
-}
-
-/// Shared receive tail of both 1D re-owning paths (two-hop to_row_blocks
-/// and the one-shot redistribute_to_row_blocks): one wholesale (row, col)
-/// sort of the received triples, then the local CSR slab. The (row, col)
-/// keys are unique — a bijective relabeling of a deduplicated pattern — so
-/// the result does not depend on arrival order, which is what makes the
-/// two paths land on bit-identical blocks.
-RowBlockCsr build_row_block(std::vector<MatEntryV>& recv, index_t n,
-                            mps::Comm& world) {
-  RowBlockCsr out;
-  out.n = n;
-  out.lo = row_block_lo(n, world.size(), world.rank());
-  out.hi = row_block_lo(n, world.size(), world.rank() + 1);
-  std::sort(recv.begin(), recv.end(), [](const MatEntryV& x, const MatEntryV& y) {
-    return x.row != y.row ? x.row < y.row : x.col < y.col;
-  });
-  const auto nloc = static_cast<std::size_t>(out.local_rows());
-  out.row_ptr.assign(nloc + 1, 0);
-  out.cols.resize(recv.size());
-  out.vals.resize(recv.size());
-  for (std::size_t k = 0; k < recv.size(); ++k) {
-    // Receive-path range check (always on): the row indexes the local
-    // row_ptr rebuild and the column later indexes CG's halo'd solution
-    // vector.
-    DRCM_CHECK(recv[k].row >= out.lo && recv[k].row < out.hi &&
-                   recv[k].col >= 0 && recv[k].col < n,
-               "received matrix entry outside the owned row block");
-    ++out.row_ptr[static_cast<std::size_t>(recv[k].row - out.lo) + 1];
-    out.cols[k] = recv[k].col;
-    out.vals[k] = recv[k].val;
-  }
-  for (std::size_t r = 0; r < nloc; ++r) out.row_ptr[r + 1] += out.row_ptr[r];
-  return out;
-}
-
-}  // namespace
-
-DistSpMat redistribute_permuted(const DistSpMat& a,
-                                const std::vector<index_t>& labels,
-                                ProcGrid2D& grid) {
-  DRCM_CHECK(labels.size() == static_cast<std::size_t>(a.n()),
-             "labels must cover every vertex");
-  auto& world = grid.world();
-  const auto& dist = a.vec_dist();
-
-  // Relabel my entries and ship each to the rank owning its new block:
-  // grid position (row chunk of new row, column chunk of new column).
-  // The two arms duplicate the routing loop rather than branch per entry;
-  // values, when present, travel inside the same alltoallv.
-  if (a.has_values()) {
-    std::vector<std::vector<MatEntryV>> send(
-        static_cast<std::size_t>(world.size()));
-    for (index_t lc = 0; lc < a.local_cols(); ++lc) {
-      const index_t nc = labels[static_cast<std::size_t>(lc + a.col_lo())];
-      DRCM_CHECK(nc >= 0 && nc < a.n(), "label out of range");
-      const int cc = dist.owner_col(nc);
-      const auto col = a.column(lc);
-      const auto col_vals = a.column_values(lc);
-      for (std::size_t k = 0; k < col.size(); ++k) {
-        const index_t nr = labels[static_cast<std::size_t>(col[k] + a.row_lo())];
-        const int dest = grid.world_rank_of(dist.owner_col(nr), cc);
-        send[static_cast<std::size_t>(dest)].push_back(
-            MatEntryV{nr, nc, col_vals[k]});
-      }
-    }
-    auto recv = world.alltoallv(send);
-    // During the exchange both sides exist; afterwards every peer is past
-    // the final crossing, so the send staging can be released before the
-    // rebuild (the transient the ledger would otherwise charge twice).
-    world.note_resident(a.resident_elements() +
-                        3 * static_cast<std::uint64_t>(a.local_nnz()) +
-                        3 * recv.size());
-    send.clear();
-    send.shrink_to_fit();
-    const auto recv_size = recv.size();
-    world.charge_compute(static_cast<double>(a.local_nnz()) +
-                         static_cast<double>(recv_size) *
-                             (1.0 + std::log2(static_cast<double>(recv_size) + 2.0)));
-    auto out = rebuild_with_values(std::move(recv), a.n(), grid, dist);
-    world.note_resident(a.resident_elements() + 3 * recv_size +
-                        out.resident_elements());
-    return out;
-  } else {
-    std::vector<std::vector<MatEntry>> send(
-        static_cast<std::size_t>(world.size()));
-    for (index_t lc = 0; lc < a.local_cols(); ++lc) {
-      const index_t nc = labels[static_cast<std::size_t>(lc + a.col_lo())];
-      DRCM_CHECK(nc >= 0 && nc < a.n(), "label out of range");
-      const int cc = dist.owner_col(nc);
-      for (const index_t lr : a.column(lc)) {
-        const index_t nr = labels[static_cast<std::size_t>(lr + a.row_lo())];
-        const int dest = grid.world_rank_of(dist.owner_col(nr), cc);
-        send[static_cast<std::size_t>(dest)].push_back(MatEntry{nr, nc});
-      }
-    }
-    const auto recv = world.alltoallv(send);
-    world.note_resident(a.resident_elements() +
-                        2 * static_cast<std::uint64_t>(a.local_nnz()) +
-                        2 * recv.size());
-    send.clear();
-    send.shrink_to_fit();
-    world.charge_compute(static_cast<double>(a.local_nnz() + recv.size()) +
-                         static_cast<double>(dist.chunk_size(grid.col())));
-    auto out = rebuild_pattern(recv, a.n(), grid, dist);
-    world.note_resident(a.resident_elements() + 2 * recv.size() +
-                        out.resident_elements());
-    return out;
-  }
-}
-
-RowBlockCsr to_row_blocks(const DistSpMat& a, mps::Comm& world) {
-  DRCM_CHECK(a.has_values(), "to_row_blocks re-owns a solver matrix: "
-             "the 2D block must carry values");
-  const index_t n = a.n();
-  const int p = world.size();
-
-  // Ship every local entry to the 1D owner of its GLOBAL row. The 1D cut
-  // uses the replicated-CSR dist_pcg slicing rule, so the re-owned matrix
-  // lands on bit-identical blocks (same preconditioner blocks, same halo).
-  std::vector<std::vector<MatEntryV>> send(static_cast<std::size_t>(p));
-  for (index_t lc = 0; lc < a.local_cols(); ++lc) {
-    const index_t gc = lc + a.col_lo();
-    const auto col = a.column(lc);
-    const auto col_vals = a.column_values(lc);
-    for (std::size_t k = 0; k < col.size(); ++k) {
-      const index_t gr = col[k] + a.row_lo();
-      const int dest = row_block_owner(n, p, gr);
-      send[static_cast<std::size_t>(dest)].push_back(
-          MatEntryV{gr, gc, col_vals[k]});
-    }
-  }
-  auto recv = world.alltoallv(send);
-  world.note_resident(a.resident_elements() +
-                      3 * static_cast<std::uint64_t>(a.local_nnz()) +
-                      3 * recv.size());
-  send.clear();
-  send.shrink_to_fit();
-
-  const auto recv_size = recv.size();
-  auto out = build_row_block(recv, n, world);
-  world.charge_compute(
-      static_cast<double>(a.local_nnz()) +
-      static_cast<double>(recv_size) *
-          (1.0 + std::log2(static_cast<double>(recv_size) + 2.0)));
-  world.note_resident(a.resident_elements() + 3 * recv_size +
-                      out.resident_elements());
-  return out;
-}
-
 OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
                                             const std::vector<index_t>& labels,
                                             ProcGrid2D& grid) {
@@ -276,9 +61,38 @@ OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
   // state, warm for the next request with this routing shape.
   world.note_resident(3 * block_nnz + 3 * block_nnz + 3 * recv.size());
 
+  // Receive tail: one wholesale (row, col) sort of the received triples,
+  // then the local CSR slab. The (row, col) keys are unique — a bijective
+  // relabeling of a deduplicated pattern — so the block does not depend on
+  // arrival order.
   const auto recv_size = recv.size();
   OneShotRowBlocks out;
-  out.block = build_row_block(recv, n, world);
+  RowBlockCsr& block = out.block;
+  block.n = n;
+  block.lo = row_block_lo(n, p, world.rank());
+  block.hi = row_block_lo(n, p, world.rank() + 1);
+  std::sort(recv.begin(), recv.end(), [](const MatEntryV& x, const MatEntryV& y) {
+    return x.row != y.row ? x.row < y.row : x.col < y.col;
+  });
+  const auto nloc = static_cast<std::size_t>(block.local_rows());
+  block.row_ptr.assign(nloc + 1, 0);
+  block.cols.resize(recv_size);
+  block.vals.resize(recv_size);
+  for (std::size_t k = 0; k < recv_size; ++k) {
+    // Receive-path range check (always on): the row indexes the local
+    // row_ptr rebuild and the column later indexes CG's halo'd solution
+    // vector.
+    DRCM_CHECK(recv[k].row >= block.lo && recv[k].row < block.hi &&
+                   recv[k].col >= 0 && recv[k].col < n,
+               "received matrix entry outside the owned row block");
+    ++block.row_ptr[static_cast<std::size_t>(recv[k].row - block.lo) + 1];
+    block.cols[k] = recv[k].col;
+    block.vals[k] = recv[k].val;
+  }
+  for (std::size_t r = 0; r < nloc; ++r) {
+    block.row_ptr[r + 1] += block.row_ptr[r];
+  }
+
   out.bandwidth = world.allreduce(
       local_bw, [](index_t x, index_t y) { return x > y ? x : y; });
   world.charge_compute(
@@ -286,208 +100,18 @@ OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
       static_cast<double>(recv_size) *
           (1.0 + std::log2(static_cast<double>(recv_size) + 2.0)));
   world.note_resident(3 * block_nnz + 3 * recv_size +
-                      out.block.resident_elements());
+                      block.resident_elements());
   return out;
 }
 
-OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
-                                            const DistDenseVec& labels,
-                                            ProcGrid2D& grid) {
-  const index_t n = a.n();
-  DRCM_CHECK(a.has_values() || a.nnz() == 0,
-             "redistribute_to_row_blocks feeds the solver: "
-             "the matrix must carry values");
-  auto& world = grid.world();
-  const int p = world.size();
-  const int q = grid.q();
-  const VectorDist dist(n, q);
-  DRCM_CHECK(labels.dist() == dist,
-             "sharded labels must use the grid's vector distribution");
-  const index_t row_lo = dist.chunk_lo(grid.row());
-  const index_t row_hi = dist.chunk_lo(grid.row() + 1);
-  const index_t col_lo = dist.chunk_lo(grid.col());
-  const index_t col_hi = dist.chunk_lo(grid.col() + 1);
-  const bool has_values = a.has_values();
-
-  // Phase 1 — label-window exchange. The streaming loop below relabels the
-  // rows of chunk grid.row() and the columns of chunk grid.col(); with the
-  // labels sharded O(n/p) per rank, those windows live on other ranks. The
-  // consumers of label g are arithmetically known: g sits in chunk
-  // c0 = owner_col(g), so grid row c0 (all q columns) reads it as a row
-  // label and grid column c0 (all q rows) as a column label. Each owner
-  // pushes its O(n/p) labels to those 2q-1 ranks — ONE alltoallv, O(n/q)
-  // received per rank — and the receivers fill dense per-chunk windows.
-  std::vector<std::vector<VecEntry>> lsend(static_cast<std::size_t>(p));
-  std::uint64_t lsend_total = 0;
-  for (index_t g = labels.lo(); g < labels.hi(); ++g) {
-    const index_t lab = labels.get(g);
-    DRCM_CHECK(lab >= 0 && lab < n, "label out of range");
-    const int c0 = dist.owner_col(g);
-    for (int c = 0; c < q; ++c) {
-      lsend[static_cast<std::size_t>(grid.world_rank_of(c0, c))].push_back(
-          VecEntry{g, lab});
-    }
-    for (int r = 0; r < q; ++r) {
-      if (r == c0) continue;  // (c0, c0) already receives via the row loop
-      lsend[static_cast<std::size_t>(grid.world_rank_of(r, c0))].push_back(
-          VecEntry{g, lab});
-    }
-    lsend_total += static_cast<std::uint64_t>(2 * q - 1);
-  }
-  auto lrecv = world.alltoallv(lsend);
-  std::vector<index_t> row_label(static_cast<std::size_t>(row_hi - row_lo),
-                                 kNoVertex);
-  std::vector<index_t> col_label(static_cast<std::size_t>(col_hi - col_lo),
-                                 kNoVertex);
-  for (const auto& e : lrecv) {
-    // Receive-path range checks (always on): wire data indexes the windows.
-    DRCM_CHECK(e.val >= 0 && e.val < n, "received label out of range");
-    bool used = false;
-    if (e.idx >= row_lo && e.idx < row_hi) {
-      row_label[static_cast<std::size_t>(e.idx - row_lo)] = e.val;
-      used = true;
-    }
-    if (e.idx >= col_lo && e.idx < col_hi) {
-      col_label[static_cast<std::size_t>(e.idx - col_lo)] = e.val;
-      used = true;
-    }
-    DRCM_CHECK(used, "received label outside both lookup windows");
-  }
-  for (const index_t lab : row_label) {
-    DRCM_CHECK(lab != kNoVertex, "row label window has a hole");
-  }
-  for (const index_t lab : col_label) {
-    DRCM_CHECK(lab != kNoVertex, "column label window has a hole");
-  }
-  world.charge_compute(static_cast<double>(lsend_total) +
-                       static_cast<double>(lrecv.size()) +
-                       static_cast<double>(row_label.size()) +
-                       static_cast<double>(col_label.size()));
-  world.note_resident(static_cast<std::uint64_t>(labels.local_size()) +
-                      row_label.size() + col_label.size() + 2 * lsend_total +
-                      2 * lrecv.size());
-  // The window exchange staging is transient, not steady-state routing
-  // capacity: release it before the matrix triples go resident.
-  lsend.clear();
-  lsend.shrink_to_fit();
-  lrecv.clear();
-  lrecv.shrink_to_fit();
-
-  // Phase 2 — identical streaming redistribution to the replicated-label
-  // path, reading the O(n/q) windows instead of the O(n) vector. Same
-  // routing, same triples on the wire, same wholesale receive sort: the
-  // resulting blocks are bit-identical.
-  auto& send = grid.workspace().mat_route(static_cast<std::size_t>(p));
-  std::uint64_t block_nnz = 0;
-  index_t local_bw = 0;
-  for (index_t gr = row_lo; gr < row_hi; ++gr) {
-    const auto cols = a.row(gr);
-    const auto first = std::lower_bound(cols.begin(), cols.end(), col_lo);
-    if (first == cols.end() || *first >= col_hi) continue;
-    const index_t nr = row_label[static_cast<std::size_t>(gr - row_lo)];
-    auto& deal = send[static_cast<std::size_t>(row_block_owner(n, p, nr))];
-    for (auto it = first; it != cols.end() && *it < col_hi; ++it) {
-      const index_t nc = col_label[static_cast<std::size_t>(*it - col_lo)];
-      local_bw = std::max(local_bw, nr > nc ? nr - nc : nc - nr);
-      const double val =
-          has_values
-              ? a.row_values(gr)[static_cast<std::size_t>(it - cols.begin())]
-              : 0.0;
-      deal.push_back(MatEntryV{nr, nc, val});
-      ++block_nnz;
-    }
-  }
-  auto recv = world.alltoallv(send);
-  world.note_resident(static_cast<std::uint64_t>(labels.local_size()) +
-                      row_label.size() + col_label.size() + 3 * block_nnz +
-                      3 * block_nnz + 3 * recv.size());
-
-  const auto recv_size = recv.size();
-  OneShotRowBlocks out;
-  out.block = build_row_block(recv, n, world);
-  out.bandwidth = world.allreduce(
-      local_bw, [](index_t x, index_t y) { return x > y ? x : y; });
-  world.charge_compute(
-      static_cast<double>(block_nnz) +
-      static_cast<double>(recv_size) *
-          (1.0 + std::log2(static_cast<double>(recv_size) + 2.0)));
-  world.note_resident(static_cast<std::uint64_t>(labels.local_size()) +
-                      row_label.size() + col_label.size() + 3 * block_nnz +
-                      3 * recv_size + out.block.resident_elements());
-  return out;
-}
-
-DistDenseVec redistribute_permuted(const DistDenseVec& v,
-                                   const std::vector<index_t>& labels,
-                                   ProcGrid2D& grid) {
-  DRCM_CHECK(labels.size() == static_cast<std::size_t>(v.dist().n()),
-             "labels must cover every element");
-  auto& world = grid.world();
-  const auto& dist = v.dist();
-
-  std::vector<std::vector<VecEntry>> send(
-      static_cast<std::size_t>(world.size()));
-  for (index_t g = v.lo(); g < v.hi(); ++g) {
-    const index_t ng = labels[static_cast<std::size_t>(g)];
-    DRCM_CHECK(ng >= 0 && ng < dist.n(), "label out of range");
-    send[static_cast<std::size_t>(dist.owner_rank(ng))].push_back(
-        VecEntry{ng, v.get(g)});
-  }
-  const auto recv = world.alltoallv(send);
-  DistDenseVec out(dist, grid, 0);
-  DRCM_CHECK(recv.size() == static_cast<std::size_t>(out.local_size()),
-             "permutation must re-own every element exactly once");
-  for (const auto& e : recv) {
-    // Receive-path range check (always on): set() indexes the owned slab.
-    DRCM_CHECK(out.owns(e.idx), "received element outside the owned range");
-    out.set(e.idx, e.val);
-  }
-  world.charge_compute(static_cast<double>(v.local_size() + recv.size()));
-  return out;
-}
-
-DistDenseVecD redistribute_permuted(const DistDenseVecD& v,
-                                    const std::vector<index_t>& labels,
-                                    ProcGrid2D& grid) {
-  DRCM_CHECK(labels.size() == static_cast<std::size_t>(v.dist().n()),
-             "labels must cover every element");
-  auto& world = grid.world();
-  const auto& dist = v.dist();
-
-  std::vector<std::vector<VecEntryD>> send(
-      static_cast<std::size_t>(world.size()));
-  for (index_t g = v.lo(); g < v.hi(); ++g) {
-    const index_t ng = labels[static_cast<std::size_t>(g)];
-    DRCM_CHECK(ng >= 0 && ng < dist.n(), "label out of range");
-    send[static_cast<std::size_t>(dist.owner_rank(ng))].push_back(
-        VecEntryD{ng, v.get(g)});
-  }
-  const auto recv = world.alltoallv(send);
-  DistDenseVecD out(dist, grid, 0.0);
-  DRCM_CHECK(recv.size() == static_cast<std::size_t>(out.local_size()),
-             "permutation must re-own every element exactly once");
-  for (const auto& e : recv) {
-    // Receive-path range check (always on): set() indexes the owned slab.
-    DRCM_CHECK(out.owns(e.idx), "received element outside the owned range");
-    out.set(e.idx, e.val);
-  }
-  world.charge_compute(static_cast<double>(v.local_size() + recv.size()));
-  return out;
-}
-
-namespace {
-
-/// Shared body of the two row-slab arms: `label_of(g)` supplies the new
-/// index of owned element g (a replicated-vector read, or a purely local
-/// sharded-slab read when the vector and the labels share one
-/// distribution). Staging comes from `ws` when provided, so steady-state
-/// repeat requests run the exchange reallocation-free.
-template <class LabelOf>
-std::vector<double> row_slab_exchange(const DistDenseVecD& v,
-                                      LabelOf&& label_of, mps::Comm& world,
-                                      DistWorkspace* ws) {
+std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
+                                             const std::vector<index_t>& labels,
+                                             mps::Comm& world,
+                                             DistWorkspace* ws) {
   const index_t n = v.dist().n();
   const int p = world.size();
+  DRCM_CHECK(labels.size() == static_cast<std::size_t>(n),
+             "labels must cover every element");
   DRCM_CHECK(v.dist().q() * v.dist().q() == p,
              "redistribute_to_row_slab needs the grid's world comm");
 
@@ -496,7 +120,7 @@ std::vector<double> row_slab_exchange(const DistDenseVecD& v,
   std::vector<std::vector<VecEntryD>>& send =
       ws ? ws->vecd_route(static_cast<std::size_t>(p)) : local_send;
   for (index_t g = v.lo(); g < v.hi(); ++g) {
-    const index_t ng = label_of(g);
+    const index_t ng = labels[static_cast<std::size_t>(g)];
     DRCM_CHECK(ng >= 0 && ng < n, "label out of range");
     send[static_cast<std::size_t>(row_block_owner(n, p, ng))].push_back(
         VecEntryD{ng, v.get(g)});
@@ -516,33 +140,6 @@ std::vector<double> row_slab_exchange(const DistDenseVecD& v,
   world.charge_compute(static_cast<double>(v.local_size()) +
                        static_cast<double>(recv.size()));
   return slab;
-}
-
-}  // namespace
-
-std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
-                                             const std::vector<index_t>& labels,
-                                             mps::Comm& world,
-                                             DistWorkspace* ws) {
-  DRCM_CHECK(labels.size() == static_cast<std::size_t>(v.dist().n()),
-             "labels must cover every element");
-  return row_slab_exchange(
-      v,
-      [&](index_t g) { return labels[static_cast<std::size_t>(g)]; },
-      world, ws);
-}
-
-std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
-                                             const DistDenseVec& labels,
-                                             mps::Comm& world,
-                                             DistWorkspace* ws) {
-  // The 2D rhs slab and the sharded label vector share one distribution,
-  // so the relabel lookup never leaves the rank: the sharded arm costs the
-  // SAME single alltoallv as the replicated arm.
-  DRCM_CHECK(labels.dist() == v.dist(),
-             "sharded labels must share the vector's distribution");
-  return row_slab_exchange(
-      v, [&](index_t g) { return labels.get(g); }, world, ws);
 }
 
 }  // namespace drcm::dist

@@ -2,104 +2,55 @@
 // without ever gathering it — the paper's conclusion pipeline ("the matrix
 // can be permuted in place in parallel").
 //
-// Every entry knows its destination arithmetically (the owner maps of
-// VectorDist / the block map of DistSpMat), so one alltoallv moves
-// everything and a local rebuild restores the invariants.
+// Every entry knows its destination arithmetically (the balanced-2D chunk
+// map on the send side, the 1D row-block map of row_block.hpp on the
+// receive side), so one alltoallv moves everything and a local rebuild
+// restores the invariants.
 #pragma once
 
 #include <vector>
 
-#include "dist/dist_matrix.hpp"
 #include "dist/dist_vector.hpp"
 #include "dist/row_block.hpp"
+#include "sparse/csr.hpp"
 
 namespace drcm::dist {
-
-/// Returns the distributed matrix B with B(labels[i], labels[j]) = A(i, j):
-/// the 2D-partitioned equivalent of sparse::permute_symmetric. `labels` is
-/// the replicated new-index-of vector (size n). When `a` carries values
-/// they ride the same alltoallv as their coordinates and arrive in lockstep
-/// with the rebuilt pattern. Collective.
-DistSpMat redistribute_permuted(const DistSpMat& a,
-                                const std::vector<index_t>& labels,
-                                ProcGrid2D& grid);
-
-/// 2D -> 1D re-owning: converts a 2D-partitioned matrix (values required)
-/// into the PETSc-style contiguous row blocks dist_pcg consumes — rank r of
-/// `world` receives global rows [r*n/p, (r+1)*n/p) as a local CSR slab.
-/// One alltoallv (every entry knows its destination arithmetically from its
-/// global row), then a local sort/rebuild; no rank ever holds more than its
-/// own slab. Collective on `world`, which must be the grid's world
-/// communicator (all p = q*q ranks).
-RowBlockCsr to_row_blocks(const DistSpMat& a, mps::Comm& world);
-
-/// Same for a dense vector: out[labels[g]] = v[g], re-owned accordingly.
-/// Collective.
-DistDenseVec redistribute_permuted(const DistDenseVec& v,
-                                   const std::vector<index_t>& labels,
-                                   ProcGrid2D& grid);
-
-/// double overload: the distributed rhs/solution permuted in place.
-DistDenseVecD redistribute_permuted(const DistDenseVecD& v,
-                                    const std::vector<index_t>& labels,
-                                    ProcGrid2D& grid);
 
 /// Result of the fused permute + re-own streaming redistribution.
 struct OneShotRowBlocks {
   RowBlockCsr block;
   /// max |labels[r] - labels[c]| over all entries — the permuted bandwidth,
-  /// folded into the routing loop so no second pass over the entries (and
-  /// no permuted-2D intermediate to take it from) is needed.
+  /// folded into the routing loop so no second pass over the entries is
+  /// needed.
   index_t bandwidth = 0;
 };
 
-/// One-shot streaming redistribution, fusing redistribute_permuted and
-/// to_row_blocks: this rank streams the entries of its balanced-2D block of
-/// `a` (rows and columns restricted to its grid chunk) as relabeled
-/// (row, col, value) triples routed straight to the 1D owner of each NEW
-/// row — ONE alltoallv where the two-hop path pays two, and no permuted-2D
-/// intermediate, whose q diagonal blocks concentrate Θ(nnz/q) of the banded
-/// output, ever exists. The input block is consumed as a coordinate stream
-/// (3 nnz/p words, no O(n/q) column pointer), so the whole step stays
-/// O(nnz/p + n/p) resident per rank. The receive path re-sorts wholesale by
-/// (row, col) — unique keys under a bijective relabeling — so the block is
-/// bit-identical to the two-hop result. Collective on the grid's world.
+/// One-shot streaming redistribution: this rank streams the entries of its
+/// balanced-2D block of `a` (rows and columns restricted to its grid chunk)
+/// as relabeled (row, col, value) triples routed straight to the 1D owner
+/// of each NEW row — ONE alltoallv, and no permuted-2D intermediate, whose
+/// q diagonal blocks would concentrate Θ(nnz/q) of the banded output. The
+/// input block is consumed as a coordinate stream (3 nnz/p words, no O(n/q)
+/// column pointer), so the whole step stays O(nnz/p + n/p) resident per
+/// rank. The receive path sorts wholesale by (row, col) — unique keys under
+/// a bijective relabeling — so rank r's block holds exactly rows
+/// [row_block_lo(r), row_block_lo(r+1)) of sparse::permute_symmetric(a,
+/// labels), independent of arrival order. `labels` is the replicated
+/// new-index-of vector (size n). Collective on the grid's world.
 OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
                                             const std::vector<index_t>& labels,
                                             ProcGrid2D& grid);
 
-/// Sharded-label one-shot: same contract as above, but `labels` is the
-/// O(n/p)-per-rank distributed label vector (new-index-of, original
-/// numbering) instead of a replicated copy — the last O(n) replicated
-/// structure gone. The relabel becomes a two-sided lookup: each rank first
-/// receives the label windows its matrix chunks need (row window [chunk
-/// row], column window [chunk col], both O(n/q)) through ONE extra
-/// arithmetically-routed alltoallv, then streams exactly as the replicated
-/// path. Produces a bit-identical OneShotRowBlocks. Collective on the
-/// grid's world; 6 barrier crossings where the replicated path pays 4.
-OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
-                                            const DistDenseVec& labels,
-                                            ProcGrid2D& grid);
-
-/// One-shot vector arm: routes each owned element g of the 2D-distributed
-/// vector to the 1D row-block owner of labels[g] in one alltoallv and
-/// returns this rank's solver slab (slab[labels[g] - lo] = v[g] for
-/// re-owned g). The rhs thus goes fixture -> O(n/p) 2D slab -> O(n/p) 1D
-/// slab without any rank ever holding a replicated copy. Collective on
-/// `world`, the grid's world communicator. When `ws` is non-null the send
-/// staging checks out of the workspace, so repeat solves with the same
-/// shape run the exchange without reallocating.
+/// The rhs twin: routes each owned element g of the 2D-distributed vector
+/// to the 1D row-block owner of labels[g] in one alltoallv and returns this
+/// rank's solver slab (slab[labels[g] - lo] = v[g] for re-owned g). The rhs
+/// thus goes fixture -> O(n/p) 2D slab -> O(n/p) 1D slab without any rank
+/// ever holding a replicated copy. Collective on `world`, the grid's world
+/// communicator. When `ws` is non-null the send staging checks out of the
+/// workspace, so repeat solves with the same shape run the exchange without
+/// reallocating.
 std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
                                              const std::vector<index_t>& labels,
-                                             mps::Comm& world,
-                                             DistWorkspace* ws = nullptr);
-
-/// Sharded-label vector arm: `labels` shares the vector's distribution, so
-/// the lookup labels[g] is a purely LOCAL slab read — no extra collective;
-/// the sharded rhs path costs the same single alltoallv as the replicated
-/// one. Bit-identical slab. Collective on `world`.
-std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
-                                             const DistDenseVec& labels,
                                              mps::Comm& world,
                                              DistWorkspace* ws = nullptr);
 

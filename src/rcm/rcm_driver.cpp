@@ -51,8 +51,7 @@ void balance_input(mps::Comm& world, const sparse::CsrMatrix& a,
 /// The distributed ordering proper: decompose `work` onto `grid`, run the
 /// per-component peripheral search + CM labeling, reverse. Returns the
 /// SHARDED label vector in the WORK numbering — O(n/p) per rank, never
-/// replicated here; the callers decide whether to gather (dist_rcm) or
-/// keep it distributed (dist_rcm_sharded).
+/// replicated here; dist_order gathers it.
 dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
                                    const sparse::CsrMatrix& work,
                                    const DistRcmOptions& options,
@@ -260,53 +259,6 @@ std::vector<index_t> dist_rcm(mps::Comm& world, const sparse::CsrMatrix& a,
   DistRcmOptions pinned = options;
   pinned.ordering.algorithm = OrderingAlgorithm::kRcm;
   return dist_order(world, a, pinned, stats, recipe);
-}
-
-dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    const DistRcmOptions& options,
-                                    DistRcmStats* stats) {
-  DRCM_CHECK(!a.has_self_loops(),
-             "dist_rcm expects an adjacency pattern (strip_diagonal first)");
-  const index_t n = a.n();
-
-  std::vector<index_t> balance;
-  const sparse::CsrMatrix* work = nullptr;
-  sparse::CsrMatrix relabeled;
-  balance_input(world, a, options, balance, relabeled, work);
-
-  dist::DistDenseVec labels = dist_rcm_levels(world, grid, *work, options, stats);
-  if (balance.empty()) return labels;
-
-  // Map back through the load-balancing permutation WITHOUT replicating:
-  // original vertex v's label lives on the owner of its alias balance[v],
-  // and v's shard owner is arithmetic, so ONE alltoallv re-owns the whole
-  // vector. (`balance` itself is a shared-seed pre-distribution fixture,
-  // like the replicated input matrix — the ledger tracks pipeline state,
-  // and the sharded result keeps that state O(n/p).)
-  mps::PhaseScope scope(world, mps::Phase::kOther);
-  const auto vdist = labels.dist();
-  std::vector<std::vector<dist::VecEntry>> send(
-      static_cast<std::size_t>(world.size()));
-  for (index_t v = 0; v < n; ++v) {
-    const index_t u = balance[static_cast<std::size_t>(v)];
-    if (!labels.owns(u)) continue;
-    send[static_cast<std::size_t>(vdist.owner_rank(v))].push_back(
-        dist::VecEntry{v, labels.get(u)});
-  }
-  const auto recv = world.alltoallv(send);
-  dist::DistDenseVec out(vdist, grid, kNoVertex);
-  DRCM_CHECK(recv.size() == static_cast<std::size_t>(out.local_size()),
-             "relabel re-owning must deliver every element exactly once");
-  for (const auto& e : recv) {
-    // Receive-path range check (always on): set() indexes the owned slab.
-    DRCM_CHECK(out.owns(e.idx), "received label outside the owned range");
-    out.set(e.idx, e.val);
-  }
-  world.charge_compute(static_cast<double>(n) +
-                       static_cast<double>(recv.size()));
-  world.note_resident(6 * static_cast<std::uint64_t>(out.local_size()));
-  return out;
 }
 
 RepairPlan plan_repair(const OrderingRecipe& recipe,
@@ -574,7 +526,7 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
 
 namespace {
 
-/// Per-rank resident budget of the one-shot pipeline: O(nnz/p + n/p).
+/// Per-rank resident budget of the pipeline: O(nnz/p + n/p).
 /// Terms, largest first: this rank's balanced-2D input block consumed as
 /// coordinate triples plus its staged sends (6 nnz/p), the received 1D
 /// triples alongside them during the exchange (~3 nnz/p), the rebuilt row
@@ -582,102 +534,27 @@ namespace {
 /// slabs and the halo (O(n/p) each). The constants are deliberately loose
 /// — 2D block skew before the load-balancing relabel, halo width — but the
 /// formula contains NO O(n) or O(nnz/q) term: that absence is the contract
-/// this budget enforces. (The replicated pre-distribution fixtures — and,
-/// on this replicated-label path, the labels — live OUTSIDE the ledger;
-/// DistRcmOptions::sharded_labels moves the labels inside it too, under
-/// the slightly wider sharded budget below.)
-std::uint64_t resident_budget_one_shot(nnz_t nnz, int p, index_t n) {
+/// this budget enforces. (The replicated pre-distribution fixtures and the
+/// replicated labels live OUTSIDE the ledger.)
+std::uint64_t resident_budget(nnz_t nnz, int p, index_t n) {
   return 24 * static_cast<std::uint64_t>(nnz) / static_cast<std::uint64_t>(p) +
          48 * static_cast<std::uint64_t>(n) / static_cast<std::uint64_t>(p) +
          4096;
 }
 
-/// Legacy budget of the two-hop path, kept callable for the before/after
-/// ledger comparison: the permuted-2D intermediate concentrates Θ(nnz/q)
-/// on the q diagonal blocks of the banded output, and the historic stage-3
-/// rhs scatter held O(n) replicated state. `q` is the grid side.
-std::uint64_t resident_budget_two_hop(nnz_t nnz, int q, index_t n) {
-  return 8 * static_cast<std::uint64_t>(nnz) / static_cast<std::uint64_t>(q) +
-         10 * static_cast<std::uint64_t>(n) + 1024;
-}
-
-/// Budget of the sharded-label pipeline: the one-shot budget plus the
-/// O(n/q) label windows (and their in-flight exchange doubles) the
-/// two-sided relabel lookup holds during redistribution. Still no O(n)
-/// term anywhere — with the labels sharded, the ledger now covers the
-/// WHOLE pipeline state, replicated labels included.
-std::uint64_t resident_budget_sharded(nnz_t nnz, int p, int q, index_t n) {
-  return resident_budget_one_shot(nnz, p, n) +
-         16 * static_cast<std::uint64_t>(n) / static_cast<std::uint64_t>(q);
-}
-
-std::uint64_t resident_budget(const DistRcmOptions& options, nnz_t nnz, int p,
-                              int q, index_t n) {
-  if (options.sharded_labels) return resident_budget_sharded(nnz, p, q, n);
-  return options.one_shot_redistribute ? resident_budget_one_shot(nnz, p, n)
-                                       : resident_budget_two_hop(nnz, q, n);
-}
-
-struct RedistributeOut {
-  dist::RowBlockCsr block;
-  index_t bandwidth = 0;
-};
-
 /// Stage 2 of the pipeline: route every relabeled entry of this rank's
-/// balanced-2D block straight to its 1D solver owner. One alltoallv on the
-/// one-shot path; the two-hop arm (permuted-2D intermediate, then re-own)
-/// remains callable for the equivalence wall and pays two. Both arms
-/// produce bit-identical row blocks. Collective; `labels` must be the
-/// replicated stage-1 output. The grid is built by the CALLER, outside the
-/// phase scope below: its two Comm::split calls are collectives of their
-/// own, and keeping them out pins the kRedistribute crossing count to
-/// exactly the redistribution traffic (one-shot: alltoallv + bandwidth
-/// allreduce = 4 crossings; two-hop: two alltoallvs + allreduce = 6).
-RedistributeOut redistribute_stage(mps::Comm& world, dist::ProcGrid2D& grid,
-                                   const sparse::CsrMatrix& a,
-                                   const std::vector<index_t>& labels,
-                                   bool one_shot) {
+/// balanced-2D block straight to its 1D solver owner in one alltoallv.
+/// Collective; `labels` must be the replicated stage-1 output. The grid is
+/// built by the CALLER, outside the phase scope below: its two Comm::split
+/// calls are collectives of their own, and keeping them out pins the
+/// kRedistribute crossing count to exactly the redistribution traffic
+/// (alltoallv + bandwidth allreduce = 4 crossings).
+dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
+                                          dist::ProcGrid2D& grid,
+                                          const sparse::CsrMatrix& a,
+                                          const std::vector<index_t>& labels) {
   mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-  RedistributeOut out;
-  if (one_shot) {
-    auto fused = dist::redistribute_to_row_blocks(a, labels, grid);
-    out.block = std::move(fused.block);
-    out.bandwidth = fused.bandwidth;
-    return out;
-  }
-
-  // The permuted 2D intermediate lives exactly as long as the re-owning
-  // needs it, so the resident ledger matches what is actually live: the
-  // 2D input block dies after the redistribution, the permuted 2D block
-  // after the 1D re-owning.
-  const auto permuted = [&] {
-    // The value-carrying 2D decomposition, built from the
-    // pre-distribution input ONCE; every later stage works on
-    // distributed blocks only. Permuting in place in parallel (the
-    // paper's conclusion): the values ride the redistribution alltoallv
-    // with their coordinates.
-    dist::DistSpMat mat(grid, a);
-    world.note_resident(mat.resident_elements());
-    return dist::redistribute_permuted(mat, labels, grid);
-  }();
-
-  // Bandwidth of the permuted system, computed distributively: each
-  // local entry's |row - col| is a lower bound and every entry lives
-  // somewhere.
-  index_t local_bw = 0;
-  for (index_t lc = 0; lc < permuted.local_cols(); ++lc) {
-    for (const index_t lr : permuted.column(lc)) {
-      local_bw = std::max(local_bw, std::abs((lr + permuted.row_lo()) -
-                                             (lc + permuted.col_lo())));
-    }
-  }
-  out.bandwidth = world.allreduce(
-      local_bw, [](index_t x, index_t y) { return std::max(x, y); });
-
-  // 2D -> 1D re-owning: the permuted matrix becomes the solver's
-  // contiguous row blocks without ever being gathered.
-  out.block = dist::to_row_blocks(permuted, world);
-  return out;
+  return dist::redistribute_to_row_blocks(a, labels, grid);
 }
 
 struct SolveOut {
@@ -692,12 +569,10 @@ struct SolveOut {
 /// and the solution never leaves slab form inside the SPMD body.
 /// Collective; `block` is the checkpointed stage-2 row block of this rank,
 /// `grid` the caller's (its workspace stages the rhs exchange, so repeat
-/// solves on a persistent grid reallocate nothing). `label_slab`, when
-/// non-null, supplies the sharded labels instead of the replicated vector.
+/// solves on a persistent grid reallocate nothing).
 SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
                      const dist::RowBlockCsr& block,
                      const std::vector<index_t>& labels,
-                     const dist::DistDenseVec* label_slab,
                      std::span<const double> b, bool precondition,
                      const solver::CgOptions& cg_options) {
   std::vector<double> b_local;
@@ -710,11 +585,8 @@ SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
       b_dist.set(g, b[static_cast<std::size_t>(g)]);
     }
     world.charge_compute(static_cast<double>(b_dist.local_size()));
-    b_local = label_slab
-                  ? dist::redistribute_to_row_slab(b_dist, *label_slab, world,
-                                                   &grid.workspace())
-                  : dist::redistribute_to_row_slab(b_dist, labels, world,
-                                                   &grid.workspace());
+    b_local = dist::redistribute_to_row_slab(b_dist, labels, world,
+                                             &grid.workspace());
     world.note_resident(block.resident_elements() +
                         4 * static_cast<std::uint64_t>(b_dist.local_size()) +
                         4 * b_local.size());
@@ -763,150 +635,51 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
              "rhs size mismatch");
   const index_t n = a.n();
   auto& world = grid.world();
-  const DistRcmOptions& rcm_options = spec.rcm;
 
   OrderedSolveResult out;
-
-  if (spec.labels != nullptr) {
+  const std::vector<index_t>* labels = spec.labels;
+  if (labels != nullptr) {
     // The ordering-cache HIT path: stage 1 skipped, redistribution runs
-    // under the KNOWN labels.
-    DRCM_CHECK(spec.labels->size() == static_cast<std::size_t>(n),
+    // under the KNOWN labels. `out.labels` stays EMPTY — the caller already
+    // holds the labels (that is why it could skip stage 1), and the
+    // no-gather body has no business replicating them again.
+    DRCM_CHECK(labels->size() == static_cast<std::size_t>(n),
                "labels must cover every vertex");
-    DRCM_CHECK(!rcm_options.sharded_labels,
-               "the hit path takes replicated labels");
-    const auto redist = redistribute_stage(world, grid, a, *spec.labels,
-                                           rcm_options.one_shot_redistribute);
-    out.permuted_bandwidth = redist.bandwidth;
-
-    auto solved = solve_stage(world, grid, n, redist.block, *spec.labels,
-                              /*label_slab=*/nullptr, spec.b,
-                              spec.precondition, spec.cg);
-    out.cg = solved.cg;
-    out.x_local = std::move(solved.x_local);
-    out.x_lo = redist.block.lo;
-
-    // Same per-rank contract as the full pipeline; the skipped ordering
-    // phases only make it easier to meet. `out.labels` stays EMPTY — the
-    // caller already holds the labels (that is why it could skip stage 1),
-    // and the no-gather body has no business replicating them again.
-    const auto peak = world.stats().peak_resident_elements();
-    DRCM_CHECK(peak <= resident_budget(rcm_options, a.nnz(), world.size(),
-                                       grid.q(), n),
-               "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
-    return out;
-  }
-
-  if (rcm_options.sharded_labels) {
-    // Fully sharded arm: the label vector never exists replicated inside
-    // the pipeline — ordering returns an O(n/p) slab, redistribution does
-    // the two-sided window lookup, the rhs relabel is a local slab read.
-    // RCM-only in v1: dist_rcm_sharded is the only sharded ordering body,
-    // so a portfolio request must resolve to kRcm to take this arm.
-    DRCM_CHECK(rcm_options.one_shot_redistribute,
-               "sharded labels require the one-shot redistribution");
-    DRCM_CHECK(spec.recipe == nullptr,
-               "recipe capture requires the replicated-label arm");
-    {
-      OrderingSpec resolved = rcm_options.ordering;
-      if (resolved.algorithm == OrderingAlgorithm::kAuto) {
-        mps::PhaseScope scope(world, mps::Phase::kOther);
-        resolved.algorithm =
-            select_ordering(spec.adjacency ? *spec.adjacency : a).algorithm;
-        world.charge_compute(static_cast<double>(a.nnz() + a.n()));
-      }
-      DRCM_CHECK(resolved.algorithm == OrderingAlgorithm::kRcm,
-                 "sharded labels are RCM-only in v1 (Sloan/GPS arms return "
-                 "replicated labels)");
-    }
-    dist::DistDenseVec labels =
-        spec.adjacency
-            ? dist_rcm_sharded(world, grid, *spec.adjacency, rcm_options)
-            : dist_rcm_sharded(world, grid, a.strip_diagonal(), rcm_options);
-
-    dist::OneShotRowBlocks fused;
-    {
-      mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-      fused = dist::redistribute_to_row_blocks(a, labels, grid);
-    }
-    out.permuted_bandwidth = fused.bandwidth;
-
-    auto solved = solve_stage(world, grid, n, fused.block, /*labels=*/{},
-                              &labels, spec.b, spec.precondition, spec.cg);
-    out.cg = solved.cg;
-    out.x_local = std::move(solved.x_local);
-    out.x_lo = fused.block.lo;
-
-    // The contract is asserted BEFORE the result is packaged: with labels
-    // sharded, no O(n) structure existed at any point of the pipeline.
-    const auto peak = world.stats().peak_resident_elements();
-    DRCM_CHECK(peak <= resident_budget(rcm_options, a.nnz(), world.size(),
-                                       grid.q(), n),
-               "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
-
-    // Result packaging for the caller's checkpoint/cache, outside the
-    // asserted pipeline (exactly like the run_* wrappers' replicated x).
-    {
-      mps::PhaseScope scope(world, mps::Phase::kOther);
-      out.labels = labels.to_global(world);
-    }
-    return out;
-  }
-
-  // The ordering runs on the self-loop-free adjacency pattern. Callers
-  // that know it (run_ordered_solve strips once outside the ranks) pass
-  // it in; otherwise each rank strips its own transient copy. dist_order
-  // dispatches on spec.rcm.ordering — the whole portfolio flows through
-  // the one pipeline.
-  if (spec.adjacency) {
-    out.labels =
-        dist_order(world, *spec.adjacency, rcm_options, nullptr, spec.recipe);
   } else {
-    out.labels = dist_order(world, a.strip_diagonal(), rcm_options, nullptr,
-                            spec.recipe);
+    // The ordering runs on the self-loop-free adjacency pattern. Callers
+    // that know it (run_ordered_solve strips once outside the ranks) pass
+    // it in; otherwise each rank strips its own transient copy. dist_order
+    // dispatches on spec.rcm.ordering — the whole portfolio flows through
+    // the one pipeline.
+    if (spec.adjacency) {
+      out.labels =
+          dist_order(world, *spec.adjacency, spec.rcm, nullptr, spec.recipe);
+    } else {
+      out.labels = dist_order(world, a.strip_diagonal(), spec.rcm, nullptr,
+                              spec.recipe);
+    }
+    labels = &out.labels;
   }
 
-  const auto redist = redistribute_stage(world, grid, a, out.labels,
-                                         rcm_options.one_shot_redistribute);
+  const auto redist = redistribute_stage(world, grid, a, *labels);
   out.permuted_bandwidth = redist.bandwidth;
 
-  auto solved = solve_stage(world, grid, n, redist.block, out.labels,
-                            /*label_slab=*/nullptr, spec.b, spec.precondition,
-                            spec.cg);
+  auto solved = solve_stage(world, grid, n, redist.block, *labels, spec.b,
+                            spec.precondition, spec.cg);
   out.cg = solved.cg;
   out.x_local = std::move(solved.x_local);
   out.x_lo = redist.block.lo;
 
-  // The scalability contract, now O(nnz/p + n/p) end to end on the
-  // default path: the one-shot redistribution streams the balanced-2D
-  // block straight into row blocks (no Θ(nnz/q) permuted-2D intermediate),
-  // the rhs moves as O(n/p) slabs, and the solution stays a slab — no
-  // O(n) replicated vector exists at ANY stage inside the ranks. The
-  // two-hop arm keeps its historic looser budget so the before/after
-  // ledgers remain comparable.
+  // The scalability contract, O(nnz/p + n/p) end to end: the one-shot
+  // redistribution streams the balanced-2D block straight into row blocks
+  // (no Θ(nnz/q) permuted-2D intermediate), the rhs moves as O(n/p) slabs,
+  // and the solution stays a slab — no O(n) replicated vector exists at ANY
+  // stage inside the ranks. A hit's skipped ordering phases only make it
+  // easier to meet.
   const auto peak = world.stats().peak_resident_elements();
-  DRCM_CHECK(
-      peak <= resident_budget(rcm_options, a.nnz(), world.size(), grid.q(), n),
-      "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
+  DRCM_CHECK(peak <= resident_budget(a.nnz(), world.size(), n),
+             "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
   return out;
-}
-
-OrderedSolveResult ordered_solve_on(dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    std::span<const double> b,
-                                    bool precondition,
-                                    const DistRcmOptions& rcm_options,
-                                    const solver::CgOptions& cg_options,
-                                    const sparse::CsrMatrix* adjacency,
-                                    OrderingRecipe* recipe) {
-  OrderedSolveSpec spec;
-  spec.matrix = &a;
-  spec.b = b;
-  spec.precondition = precondition;
-  spec.rcm = rcm_options;
-  spec.cg = cg_options;
-  spec.adjacency = adjacency;
-  spec.recipe = recipe;
-  return ordered_solve_spec(grid, spec);
 }
 
 OrderedSolveResult ordered_solve(mps::Comm& world, const sparse::CsrMatrix& a,
@@ -915,22 +688,13 @@ OrderedSolveResult ordered_solve(mps::Comm& world, const sparse::CsrMatrix& a,
                                  const solver::CgOptions& cg_options,
                                  const sparse::CsrMatrix* adjacency) {
   dist::ProcGrid2D grid(world);
-  return ordered_solve_on(grid, a, b, precondition, rcm_options, cg_options,
-                          adjacency);
-}
-
-OrderedSolveResult ordered_solve_with_labels(
-    dist::ProcGrid2D& grid, const sparse::CsrMatrix& a,
-    const std::vector<index_t>& labels, std::span<const double> b,
-    bool precondition, const DistRcmOptions& rcm_options,
-    const solver::CgOptions& cg_options) {
   OrderedSolveSpec spec;
   spec.matrix = &a;
   spec.b = b;
   spec.precondition = precondition;
   spec.rcm = rcm_options;
   spec.cg = cg_options;
-  spec.labels = &labels;
+  spec.adjacency = adjacency;
   return ordered_solve_spec(grid, spec);
 }
 
@@ -978,7 +742,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   const index_t n = a.n();
   const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
   DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
-  const std::uint64_t budget = resident_budget(rcm_options, a.nnz(), nranks, q, n);
+  const std::uint64_t budget = resident_budget(a.nnz(), nranks, n);
   const int threads = resolve_threads(rcm_options.threads);
   // The runner owns its own checkpoints: spec.labels / spec.recipe are not
   // consumed here (documented in the header), and the adjacency is stripped
@@ -1081,8 +845,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
       "redistribute",
       [&](mps::Comm& world) {
         dist::ProcGrid2D grid(world);
-        auto result = redistribute_stage(world, grid, a, labels,
-                                         rcm_options.one_shot_redistribute);
+        auto result = redistribute_stage(world, grid, a, labels);
         blocks[static_cast<std::size_t>(world.rank())] =
             std::move(result.block);
         if (world.rank() == 0) bandwidth = result.bandwidth;
@@ -1128,7 +891,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
         auto result =
             solve_stage(world, grid, n,
                         blocks[static_cast<std::size_t>(world.rank())], labels,
-                        /*label_slab=*/nullptr, b, precondition, cg_options);
+                        b, precondition, cg_options);
         slabs[static_cast<std::size_t>(world.rank())] =
             std::move(result.x_local);
         if (world.rank() == 0) run.result.cg = result.cg;

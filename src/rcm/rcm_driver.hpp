@@ -53,24 +53,6 @@ struct DistRcmOptions {
   /// are bit-identical — this is a synchrony knob kept for the equivalence
   /// suite and the crossing-ledger benches.
   bool fuse_ordering = true;
-  /// Route each relabeled entry straight from the balanced-2D input block
-  /// to the 1D owner of its NEW row in ONE alltoallv (O(nnz/p + n/p)
-  /// resident per rank), instead of the two-hop chain through the
-  /// permuted-2D intermediate whose q diagonal blocks concentrate
-  /// Θ(nnz/q) of the banded output. Both paths produce bit-identical row
-  /// blocks; the two-hop arm is kept for the equivalence wall and the
-  /// before/after ledger comparison.
-  bool one_shot_redistribute = true;
-  /// Keep the label vector sharded O(n/p) per rank through the WHOLE
-  /// pipeline (ordered_solve_on only): ordering returns a distributed
-  /// slab, redistribution resolves labels through a two-sided window
-  /// lookup (one extra O(n/q) alltoallv), and the rhs relabel becomes a
-  /// local read. Removes the last replicated O(n) structure from the
-  /// ranks — the resident ledger then covers the complete pipeline state.
-  /// Requires one_shot_redistribute; bit-identical results. dist_rcm and
-  /// the run_* wrappers ignore it (their contract is a replicated label
-  /// vector).
-  bool sharded_labels = false;
   /// OpenMP threads per rank of the hybrid configuration (paper Fig. 6:
   /// one communicating thread per process, the others splitting the local
   /// SpMSpV). 0 resolves through the DRCM_THREADS environment variable,
@@ -248,18 +230,6 @@ std::vector<index_t> dist_rcm(mps::Comm& world, const sparse::CsrMatrix& a,
                               DistRcmStats* stats = nullptr,
                               OrderingRecipe* recipe = nullptr);
 
-/// SPMD body, sharded output: the same ordering, but the result stays an
-/// O(n/p)-per-rank distributed label vector in the ORIGINAL numbering —
-/// labels.get(v) = new index of v for owned v — and no rank ever holds a
-/// replicated copy. With load balancing the map-back through the balance
-/// permutation happens via one alltoallv re-owning instead of a
-/// replicated scan. labels.to_global(world) of the result equals
-/// dist_rcm(...) bit for bit. Collective on the grid's world.
-dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    const DistRcmOptions& options = {},
-                                    DistRcmStats* stats = nullptr);
-
 /// Convenience wrapper: launches `nranks` simulated ranks, runs dist_rcm,
 /// and returns labels plus the per-phase cost report (the data behind the
 /// paper's Figures 4-6).
@@ -282,14 +252,15 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
 
 /// The paper's Figure-1 pipeline as ONE distributed call: RCM ordering on
 /// the 2D grid, ONE streaming redistribution routing every relabeled entry
-/// straight to its 1D solver owner (the two-hop permute-then-re-own chain
-/// stays callable via DistRcmOptions::one_shot_redistribute = false), a
-/// distributed rhs, and block-Jacobi preconditioned CG producing per-rank
-/// solution slabs. Between ordering and solution no rank materializes a
-/// replicated CSR or a replicated O(n) value vector; the mpsim resident
-/// ledger records every stage's footprint and ordered_solve asserts the
-/// per-rank peak stays O(nnz/p + n/p) on the one-shot path (O(nnz/q + n)
-/// on the legacy two-hop path; see rcm_driver.cpp for the constants).
+/// straight to its 1D solver owner, a distributed rhs, and block-Jacobi
+/// preconditioned CG producing per-rank solution slabs. Between ordering
+/// and solution no rank materializes a replicated CSR or a replicated O(n)
+/// value vector; the mpsim resident ledger records every stage's footprint
+/// and ordered_solve asserts the per-rank peak stays O(nnz/p + n/p) (see
+/// rcm_driver.cpp for the constants). The labels themselves stay
+/// replicated: every consumer — the service cache, hits, repair, recipes,
+/// the Sloan/GPS/kAuto arms and the recoverable runner — takes them in
+/// that form.
 struct OrderedSolveResult {
   /// RCM labels of the ORIGINAL numbering (labels[v] = new index of v).
   std::vector<index_t> labels;
@@ -310,11 +281,9 @@ struct OrderedSolveResult {
 };
 
 /// Everything one ordered solve needs, in one place — the parameter object
-/// the single pipeline core consumes. The historical entry points
-/// (ordered_solve, ordered_solve_on, ordered_solve_with_labels, the run_*
-/// wrappers and the recoverable runner) are documented thin wrappers that
-/// populate one of these and delegate; behavior is pinned unchanged by the
-/// pre-collapse walls.
+/// the single pipeline core consumes. ordered_solve, run_ordered_solve and
+/// the recoverable runner are thin wrappers that populate one of these and
+/// delegate; the serving layer fills one per request directly.
 struct OrderedSolveSpec {
   /// Replicated SPD input (values required, diagonal included) — the
   /// pre-distribution fixture the simulator starts from. Required.
@@ -335,15 +304,20 @@ struct OrderedSolveSpec {
   /// caller already holds them).
   const std::vector<index_t>* labels = nullptr;
   /// When non-null: receives the kRcm arm's level structure (cold runs
-  /// only; requires the replicated-label arm and no load balancing to be
-  /// useful to the repair consumer).
+  /// only; requires no load balancing to be useful to the repair
+  /// consumer).
   OrderingRecipe* recipe = nullptr;
 };
 
 /// THE pipeline core: ordering (or label splice) -> one-shot redistribution
-/// -> distributed CG, on a caller-owned grid, under the per-rank resident
-/// budget DRCM_CHECK. Every other ordered-solve entry point is a thin
-/// wrapper over this. Collective on grid.world().
+/// -> distributed CG, on a CALLER-OWNED grid, under the per-rank resident
+/// budget DRCM_CHECK. The grid (and with it the per-rank DistWorkspace
+/// staging every exchange) survives the call, so a serving layer's request
+/// N+1 runs its collectives against warmed buffer capacities and its
+/// workspace realloc ledger stays flat. With spec.labels set this is the
+/// ordering-cache hit path: ZERO collectives in the five ordering phases —
+/// the property the serving layer's crossing ledger asserts per hit — and
+/// the result's `labels` stays empty. Collective on grid.world().
 OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
                                       const OrderedSolveSpec& spec);
 
@@ -356,35 +330,6 @@ OrderedSolveResult ordered_solve(mps::Comm& world, const sparse::CsrMatrix& a,
                                  const DistRcmOptions& rcm_options = {},
                                  const solver::CgOptions& cg_options = {},
                                  const sparse::CsrMatrix* adjacency = nullptr);
-
-/// Thin wrapper: ordered_solve_spec on a CALLER-OWNED grid — the ProcGrid2D
-/// (and with it the per-rank DistWorkspace staging every exchange) is
-/// constructed by the caller and survives the call. This is the
-/// serving-layer entry point — a persistent grid makes request N+1's
-/// collectives run against warmed buffer capacities, so its workspace
-/// realloc ledger stays flat. Honors DistRcmOptions::sharded_labels.
-/// Collective on grid.world().
-OrderedSolveResult ordered_solve_on(dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    std::span<const double> b,
-                                    bool precondition = true,
-                                    const DistRcmOptions& rcm_options = {},
-                                    const solver::CgOptions& cg_options = {},
-                                    const sparse::CsrMatrix* adjacency = nullptr,
-                                    OrderingRecipe* recipe = nullptr);
-
-/// Thin wrapper: ordered_solve_spec with spec.labels set — the
-/// ordering-cache hit path (skip stage 1, redistribute + solve under KNOWN
-/// labels recalled from a previous solve of the same sparsity pattern).
-/// Executes ZERO collectives in the five ordering phases — the property
-/// the serving layer's crossing ledger asserts per hit. The result's
-/// `labels` stays empty: the caller already holds them, and the no-gather
-/// body does not replicate them again. Collective on grid.world().
-OrderedSolveResult ordered_solve_with_labels(
-    dist::ProcGrid2D& grid, const sparse::CsrMatrix& a,
-    const std::vector<index_t>& labels, std::span<const double> b,
-    bool precondition = true, const DistRcmOptions& rcm_options = {},
-    const solver::CgOptions& cg_options = {});
 
 /// Convenience wrapper: launches `nranks` ranks, runs ordered_solve, and
 /// returns the result plus the cost/ledger report.
@@ -433,8 +378,8 @@ struct OrderedSolveRecoverableRun {
 
 /// The Figure-1 pipeline with stage-boundary checkpoints and bounded
 /// retries. Execution is split into three SPMD runs — ordering (via
-/// dist_order, so the whole portfolio is recoverable), redistribute (2D
-/// permute + 1D re-owning), solve — whose outputs (replicated labels;
+/// dist_order, so the whole portfolio is recoverable), redistribute (the
+/// one-shot route), solve — whose outputs (replicated labels;
 /// per-rank row blocks) the driver holds between runs. A failed attempt
 /// (rank death, injected allocation failure, corrupted payload tripping a
 /// structural check or poisoning the CG recurrence, watchdog timeout) is

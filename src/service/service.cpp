@@ -324,16 +324,26 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
                 ? &pending_recipes[req]
                 : nullptr;
 
+        // One pipeline call per request; the hit and repair branches add
+        // the known labels (which make the core skip the ordering and
+        // ignore the adjacency and recipe sink).
+        rcm::OrderedSolveSpec spec;
+        spec.matrix = rq.matrix;
+        spec.b = rq.b;
+        spec.precondition = rq.precondition;
+        spec.rcm = ropt;
+        spec.cg = rq.cg;
+        spec.adjacency = &adjacencies[req];
+        spec.recipe = recipe_sink;
+
         rcm::OrderedSolveResult result;
         rcm::RepairResult rep;
         bool repaired = false;
         if (mode[req] == Mode::kHit) {
           const CacheEntry* entry = cache_find(fp);
           DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
-          result = rcm::ordered_solve_with_labels(grid, *rq.matrix,
-                                                  entry->labels, rq.b,
-                                                  rq.precondition, ropt,
-                                                  rq.cg);
+          spec.labels = &entry->labels;
+          result = rcm::ordered_solve_spec(grid, spec);
           DRCM_CHECK(mps::ordering_crossings(lane.stats()) == 0,
                      "cache hit must skip every ordering collective");
         } else if (mode[req] == Mode::kRepair) {
@@ -353,24 +363,18 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
               DRCM_CHECK(cold == rep.labels,
                          "repair must be bit-identical to a cold recompute");
             }
-            result = rcm::ordered_solve_with_labels(grid, *rq.matrix,
-                                                    rep.labels, rq.b,
-                                                    rq.precondition, ropt,
-                                                    rq.cg);
+            spec.labels = &rep.labels;
+            result = rcm::ordered_solve_spec(grid, spec);
             result.labels = std::move(rep.labels);
             repaired = true;
           } else {
             // Structural change detected mid-repair (component
             // split/merge/reorder): honest cold fallback, recipe
             // captured so the fresh entry is itself repair-eligible.
-            result = rcm::ordered_solve_on(grid, *rq.matrix, rq.b,
-                                           rq.precondition, ropt, rq.cg,
-                                           &adjacencies[req], recipe_sink);
+            result = rcm::ordered_solve_spec(grid, spec);
           }
         } else {
-          result = rcm::ordered_solve_on(grid, *rq.matrix, rq.b,
-                                         rq.precondition, ropt, rq.cg,
-                                         &adjacencies[req], recipe_sink);
+          result = rcm::ordered_solve_spec(grid, spec);
         }
 
         const std::uint64_t my_crossings =

@@ -126,7 +126,10 @@ BlockJacobi::Block BlockJacobi::factor_block(const sparse::CsrMatrix& a,
 void BlockJacobi::apply(std::span<const double> r, std::span<double> z) const {
   DRCM_CHECK(r.size() == z.size(), "apply dimension mismatch");
   const auto nb = static_cast<std::int64_t>(blocks_.size());
-#pragma omp parallel for schedule(dynamic, 1)
+  // A single block (dist_pcg's per-rank preconditioner) runs inline: a team
+  // of omp_get_max_threads() threads for one iteration is pure overhead,
+  // paid once per CG iteration on every rank.
+#pragma omp parallel for schedule(dynamic, 1) if (nb > 1)
   for (std::int64_t b = 0; b < nb; ++b) {
     const Block& blk = blocks_[static_cast<std::size_t>(b)];
     const index_t m = blk.hi - blk.lo;

@@ -1,11 +1,13 @@
 // Tests for the root-rooted collectives and the distributed in-place
-// permutation (redistribute_permuted), including the full pipeline the
+// permutation (redistribute_to_row_blocks), including the full pipeline the
 // paper's conclusion describes: order on the grid, permute on the grid,
 // no gather anywhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "dist/redistribute.hpp"
-#include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
 #include "order/rcm_serial.hpp"
 #include "rcm/rcm_driver.hpp"
@@ -85,32 +87,44 @@ TEST(RootCollectives, RootOutOfRangeThrows) {
   });
 }
 
+/// Checks that this rank's row block is exactly its row slice of `want`
+/// (the serially permuted matrix): same partition, same column ids, values
+/// bit for bit.
+void expect_row_slice_of(const RowBlockCsr& block, const sparse::CsrMatrix& want,
+                         int p, int rank) {
+  EXPECT_EQ(block.lo, row_block_lo(want.n(), p, rank));
+  EXPECT_EQ(block.hi, row_block_lo(want.n(), p, rank + 1));
+  for (index_t g = block.lo; g < block.hi; ++g) {
+    const auto got = block.row(g);
+    const auto exp = want.row(g);
+    ASSERT_EQ(got.size(), exp.size()) << "row " << g;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k], exp[k]);
+      EXPECT_EQ(block.row_values(g)[k], want.row_values(g)[k]);
+    }
+  }
+}
+
 class RedistributeGrids : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Grids, RedistributeGrids, ::testing::Values(1, 4, 9, 16));
 
 TEST_P(RedistributeGrids, MatchesSequentialPermutation) {
   const int p = GetParam();
   for (u64 seed : {1u, 5u}) {
-    const auto a = gen::erdos_renyi(70, 5.0, seed);
+    const auto a =
+        gen::with_laplacian_values(gen::erdos_renyi(70, 5.0, seed), 0.02);
     const auto labels = sparse::random_permutation(a.n(), seed + 100);
     const auto want = sparse::permute_symmetric(a, labels);
     Runtime::run(p, [&](Comm& world) {
       ProcGrid2D grid(world);
-      DistSpMat mat(grid, a);
-      const auto moved = redistribute_permuted(mat, labels, grid);
-      // The redistributed matrix must equal the block of the sequentially
-      // permuted matrix, column for column.
-      DistSpMat reference(grid, want);
-      EXPECT_EQ(moved.local_nnz(), reference.local_nnz());
-      for (index_t lc = 0; lc < moved.local_cols(); ++lc) {
-        const auto got = moved.column(lc);
-        const auto exp = reference.column(lc);
-        ASSERT_EQ(got.size(), exp.size()) << "col " << lc;
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          EXPECT_EQ(got[k], exp[k]);
-        }
-      }
-      EXPECT_EQ(moved.global_nnz(world), want.nnz());
+      const auto moved = redistribute_to_row_blocks(a, labels, grid).block;
+      // The redistributed row block must equal the same rows of the
+      // sequentially permuted matrix, and the blocks together must hold
+      // every entry exactly once.
+      expect_row_slice_of(moved, want, p, world.rank());
+      const auto total = world.allreduce(
+          moved.local_nnz(), [](nnz_t x, nnz_t y) { return x + y; });
+      EXPECT_EQ(total, want.nnz());
     });
   }
 }
@@ -120,22 +134,23 @@ TEST_P(RedistributeGrids, FullInPlacePipeline) {
   // the matrix on the grid — never gathering anything — and verify the
   // redistributed matrix has the RCM bandwidth.
   const int p = GetParam();
-  const auto a = gen::relabel_random(gen::grid2d(12, 12), 3);
+  const auto pattern = gen::relabel_random(gen::grid2d(12, 12), 3);
+  const auto a = gen::with_laplacian_values(pattern, 0.02);
   const auto expected_bw =
-      sparse::bandwidth_with_labels(a, order::rcm_serial(a));
+      sparse::bandwidth_with_labels(pattern, order::rcm_serial(pattern));
   Runtime::run(p, [&](Comm& world) {
     ProcGrid2D grid(world);
-    DistSpMat mat(grid, a);
-    const auto labels = rcm::dist_rcm(world, a);
-    const auto moved = redistribute_permuted(mat, labels, grid);
-    // Bandwidth of the redistributed matrix, computed distributively: each
-    // local entry's |row - col| is a lower bound; the max over all ranks is
-    // exact because every entry lives somewhere.
+    const auto labels = rcm::dist_rcm(world, pattern);
+    const auto moved = redistribute_to_row_blocks(a, labels, grid);
+    EXPECT_EQ(moved.bandwidth, expected_bw);
+    // Bandwidth of the redistributed blocks, recomputed distributively from
+    // the stored entries (diagonal included): each local entry's
+    // |row - col| is a lower bound, and the max over all ranks is exact
+    // because every entry lives somewhere.
     index_t local_bw = 0;
-    for (index_t lc = 0; lc < moved.local_cols(); ++lc) {
-      for (const index_t lr : moved.column(lc)) {
-        local_bw = std::max(local_bw, std::abs((lr + moved.row_lo()) -
-                                               (lc + moved.col_lo())));
+    for (index_t g = moved.block.lo; g < moved.block.hi; ++g) {
+      for (const index_t c : moved.block.row(g)) {
+        local_bw = std::max(local_bw, std::abs(g - c));
       }
     }
     const auto bw = world.allreduce(
@@ -147,26 +162,20 @@ TEST_P(RedistributeGrids, FullInPlacePipeline) {
 TEST(Redistribute, IdentityIsNoop) {
   Runtime::run(4, [](Comm& world) {
     ProcGrid2D grid(world);
-    const auto a = gen::grid2d_9pt(8, 8);
-    DistSpMat mat(grid, a);
+    const auto a = gen::with_laplacian_values(gen::grid2d_9pt(8, 8), 0.02);
     const auto moved =
-        redistribute_permuted(mat, sparse::identity_permutation(a.n()), grid);
-    EXPECT_EQ(moved.local_nnz(), mat.local_nnz());
-    for (index_t lc = 0; lc < mat.local_cols(); ++lc) {
-      const auto got = moved.column(lc);
-      const auto exp = mat.column(lc);
-      ASSERT_EQ(got.size(), exp.size());
-      for (std::size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got[k], exp[k]);
-    }
+        redistribute_to_row_blocks(a, sparse::identity_permutation(a.n()), grid)
+            .block;
+    expect_row_slice_of(moved, a, world.size(), world.rank());
   });
 }
 
 TEST(Redistribute, BadLabelSizeThrows) {
   Runtime::run(1, [](Comm& world) {
     ProcGrid2D grid(world);
-    DistSpMat mat(grid, gen::path(6));
+    const auto a = gen::with_laplacian_values(gen::path(6), 0.02);
     std::vector<index_t> short_labels{0, 1, 2};
-    EXPECT_THROW(redistribute_permuted(mat, short_labels, grid), CheckError);
+    EXPECT_THROW(redistribute_to_row_blocks(a, short_labels, grid), CheckError);
   });
 }
 
