@@ -77,12 +77,28 @@ void StatsRecorder::reset() {
   peak_resident_ = 0;
 }
 
+namespace {
+
+/// Sum over the five ordering-computation phases (paper Fig. 4's
+/// Peripheral/Ordering x SpMSpV/Sort/Other breakdown).
+PhaseTotals ordering_totals(const StatsRecorder& stats) {
+  PhaseTotals sum;
+  for (const Phase p : {Phase::kPeripheralSpmspv, Phase::kPeripheralOther,
+                        Phase::kOrderingSpmspv, Phase::kOrderingSort,
+                        Phase::kOrderingOther}) {
+    sum += stats.phase(p);
+  }
+  return sum;
+}
+
+}  // namespace
+
 std::uint64_t ordering_crossings(const StatsRecorder& stats) {
-  return stats.phase(Phase::kPeripheralSpmspv).barrier_crossings +
-         stats.phase(Phase::kPeripheralOther).barrier_crossings +
-         stats.phase(Phase::kOrderingSpmspv).barrier_crossings +
-         stats.phase(Phase::kOrderingSort).barrier_crossings +
-         stats.phase(Phase::kOrderingOther).barrier_crossings;
+  return ordering_totals(stats).barrier_crossings;
+}
+
+double ordering_wall(const StatsRecorder& stats) {
+  return ordering_totals(stats).wall_seconds;
 }
 
 }  // namespace drcm::mps

@@ -103,4 +103,8 @@ struct PhaseAggregate {
 /// SORTPERM, or label collective.
 std::uint64_t ordering_crossings(const StatsRecorder& stats);
 
+/// Wall seconds charged to the same five phases: the cost an ordering
+/// cache entry remembers for cost/recency eviction.
+double ordering_wall(const StatsRecorder& stats);
+
 }  // namespace drcm::mps

@@ -598,11 +598,10 @@ SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
   return out;
 }
 
-/// Assembles the replicated ORIGINAL-numbering solution from the per-rank
-/// permuted slabs, OUTSIDE the SPMD ranks (the driver holds the slabs like
-/// any other checkpoint, so no rank's ledger pays for the O(n) copy). The
-/// row blocks are contiguous, so rank-order concatenation IS the permuted
-/// vector; then x[v] = x_perm[labels[v]].
+}  // namespace
+
+// The row blocks are contiguous, so rank-order concatenation IS the
+// permuted vector; then x[v] = x_perm[labels[v]].
 std::vector<double> assemble_solution(
     const std::vector<std::vector<double>>& slabs,
     const std::vector<index_t>& labels) {
@@ -619,8 +618,6 @@ std::vector<double> assemble_solution(
   }
   return x;
 }
-
-}  // namespace
 
 OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
                                       const OrderedSolveSpec& spec) {
@@ -826,12 +823,8 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
           return "ordering produced " + std::to_string(labels.size()) +
                  " labels for n=" + std::to_string(n);
         }
-        std::vector<char> seen(static_cast<std::size_t>(n), 0);
-        for (const index_t l : labels) {
-          if (l < 0 || l >= n || seen[static_cast<std::size_t>(l)]) {
-            return "ordering labels are not a permutation of [0, n)";
-          }
-          seen[static_cast<std::size_t>(l)] = 1;
+        if (!sparse::is_valid_permutation(labels)) {
+          return "ordering labels are not a permutation of [0, n)";
         }
         return {};
       });

@@ -345,6 +345,14 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
                                   const solver::CgOptions& cg_options = {},
                                   const mps::MachineParams& machine = {});
 
+/// Assembles the replicated ORIGINAL-numbering solution from per-rank
+/// permuted slabs (rank order), OUTSIDE the SPMD ranks: the driver holds
+/// the slabs like any other checkpoint, so no rank's ledger pays for the
+/// O(n) copy. DRCM_CHECKs the slabs cover exactly labels.size() rows.
+std::vector<double> assemble_solution(
+    const std::vector<std::vector<double>>& slabs,
+    const std::vector<index_t>& labels);
+
 /// Retry policy of run_ordered_solve_recoverable.
 struct RecoveryOptions {
   mps::MachineParams machine{};

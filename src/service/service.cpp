@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
-#include "dist/proc_grid.hpp"
+#include "sparse/permute.hpp"
 
 namespace drcm::service {
 
@@ -27,57 +28,110 @@ struct LanePlan {
 };
 
 /// Carves lanes for `requests` concurrent requests on `ranks` ranks:
-/// as many lanes as there are requests (capped by max_lanes when set),
-/// each the LARGEST square grid fitting the per-lane share — a single
-/// request always gets the full largest-square lane, so the steady-state
-/// geometry (and with it the warmed workspace capacities) is stable.
-LanePlan plan_lanes(int ranks, std::size_t requests, int max_lanes) {
-  int desired = static_cast<int>(
-      std::min<std::size_t>(requests, static_cast<std::size_t>(ranks)));
-  desired = std::max(desired, 1);
-  if (max_lanes > 0) desired = std::min(desired, max_lanes);
+/// as many lanes as there are requests, each the LARGEST square grid
+/// fitting the per-lane share — a single request always gets the full
+/// largest-square lane, so the steady-state geometry (and with it the
+/// warmed workspace capacities) is stable.
+LanePlan plan_lanes(int ranks, std::size_t requests) {
+  const auto desired = static_cast<int>(std::clamp<std::size_t>(
+      requests, 1, static_cast<std::size_t>(ranks)));
   LanePlan plan;
   plan.lane_size = dist::largest_square_grid(std::max(ranks / desired, 1));
   plan.nlanes = std::min(desired, ranks / plan.lane_size);
   return plan;
 }
 
-/// Labels must be a permutation of [0, n) before they may touch the cache
-/// or index the solution assembly — a faulted or corrupted ordering must
-/// surface as a structured error, never as a poisoned cache entry.
-bool is_permutation(const std::vector<index_t>& labels, index_t n) {
-  if (labels.size() != static_cast<std::size_t>(n)) return false;
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  for (const index_t l : labels) {
-    if (l < 0 || l >= n) return false;
-    if (seen[static_cast<std::size_t>(l)]) return false;
-    seen[static_cast<std::size_t>(l)] = 1;
-  }
-  return true;
-}
+enum class Mode { kCold, kHit, kRepair };
 
-/// One rank's ordering-phase wall: the cost a cache entry remembers for
-/// cost/recency eviction (same five phases as mps::ordering_crossings).
-double ordering_wall(const mps::StatsRecorder& stats) {
-  return stats.phase(mps::Phase::kPeripheralSpmspv).wall_seconds +
-         stats.phase(mps::Phase::kPeripheralOther).wall_seconds +
-         stats.phase(mps::Phase::kOrderingSpmspv).wall_seconds +
-         stats.phase(mps::Phase::kOrderingSort).wall_seconds +
-         stats.phase(mps::Phase::kOrderingOther).wall_seconds;
-}
+/// Driver-side state of one request across its batch: inputs prepared
+/// before any rank launches, the current wave's verdict, and the
+/// checkpoint its lane deposits. Deposits are read only after
+/// Runtime::run has joined every thread (it joins on faults too, so the
+/// deposits of completed requests survive an aborted launch).
+struct RequestState {
+  /// Stripped ONCE outside the ranks (simulated ranks share an address
+  /// space; run_ordered_solve does the same).
+  sparse::CsrMatrix adjacency;
+  /// The serial twin of the lane's collective fingerprint
+  /// (partition-invariant, so one rank owning everything is just another
+  /// cut): scheduling classifies on it before any rank launches, and the
+  /// lane DRCM_CHECKs agreement.
+  RefinedFingerprint refined{};
+  PatternFingerprint salted{};
+  /// kAuto resolved driver-side on the stripped adjacency (the input
+  /// dist_order would resolve on), so the cache key, the lane run and the
+  /// response agree on the algorithm, and an auto request shares the slot
+  /// of an explicit request for its resolution.
+  rcm::DistRcmOptions resolved{};
+  bool auto_selected = false;
+  rcm::OrderingProxies proxies{};
+  /// Sat out a wave behind an identical in-flight fingerprint.
+  bool deferred = false;
+  /// A fault killed this request mid-repair: the relaunch runs it COLD —
+  /// the opportunistic path lost its chance, the request did not.
+  bool no_repair = false;
+
+  Mode mode = Mode::kCold;
+  rcm::RepairPlan repair;
+  RepairCandidate source;
+
+  bool done = false;
+  std::vector<std::vector<double>> slabs;  ///< one per lane rank
+  std::vector<index_t> labels;             ///< misses only
+  rcm::OrderingRecipe recipe;              ///< misses only
+};
 
 }  // namespace
 
+struct ReorderingService::Batch {
+  std::span<const OrderSolveRequest> requests;
+  std::vector<RequestState> state;
+  std::vector<OrderSolveResponse> responses;
+  /// Requests still to run, in scheduling order.
+  std::vector<std::size_t> remaining;
+  int relaunches = 0;
+  std::string last_error = "unknown failure";
+
+  explicit Batch(std::span<const OrderSolveRequest> rqs)
+      : requests(rqs), state(rqs.size()), responses(rqs.size()) {
+    for (std::size_t i = 0; i < rqs.size(); ++i) {
+      const auto& rq = rqs[i];
+      DRCM_CHECK(rq.matrix != nullptr, "request needs a matrix");
+      DRCM_CHECK(rq.b.size() == static_cast<std::size_t>(rq.matrix->n()),
+                 "request rhs size mismatch");
+      auto& st = state[i];
+      st.adjacency = rq.matrix->strip_diagonal();
+      st.refined = fingerprint_pattern_serial(*rq.matrix);
+      st.resolved = rq.rcm;
+      if (st.resolved.ordering.algorithm == rcm::OrderingAlgorithm::kAuto) {
+        const auto choice = rcm::select_ordering(st.adjacency);
+        st.resolved.ordering.algorithm = choice.algorithm;
+        st.auto_selected = true;
+        st.proxies = choice.proxies;
+      }
+      st.salted = salt_ordering_options(st.refined.fp, st.resolved);
+      remaining.push_back(i);
+    }
+  }
+};
+
+struct ReorderingService::Wave {
+  std::vector<std::size_t> scheduled;
+  /// Coalesced twins of a scheduled miss: they wait for the next wave.
+  std::vector<std::size_t> deferred;
+  LanePlan lanes;
+  std::vector<std::vector<std::size_t>> lane_queue;
+  /// The request each world rank is inside, for fault attribution.
+  std::vector<int> current_request;
+};
+
 ReorderingService::ReorderingService(const ServiceOptions& options)
     : options_(options),
-      workspaces_(static_cast<std::size_t>(std::max(options.ranks, 1))) {
+      workspaces_(static_cast<std::size_t>(std::max(options.ranks, 1))),
+      cache_(options.cache_capacity) {
   DRCM_CHECK(options_.ranks >= 1, "service needs at least one rank");
   DRCM_CHECK(options_.threads_per_rank >= 1,
              "service needs at least one thread per rank");
-  DRCM_CHECK(options_.max_relaunches >= 0, "negative relaunch budget");
-  DRCM_CHECK(options_.repair_max_windows >= 1 &&
-                 options_.repair_max_windows <= kFingerprintWindows,
-             "repair_max_windows out of range");
   cumulative_.machine = options_.machine;
 }
 
@@ -88,571 +142,343 @@ OrderSolveResponse ReorderingService::submit(const OrderSolveRequest& request) {
 
 std::vector<OrderSolveResponse> ReorderingService::submit_batch(
     std::span<const OrderSolveRequest> requests) {
-  const std::size_t nreq = requests.size();
-  std::vector<OrderSolveResponse> responses(nreq);
-  if (nreq == 0) return responses;
-
-  // Strip each adjacency ONCE outside the ranks (simulated ranks share an
-  // address space; run_ordered_solve does the same), validate the fixtures
-  // up front, and take each request's DRIVER-SIDE refined fingerprint: the
-  // serial twin of the lane collective (partition-invariant, so one rank
-  // owning everything is just another cut). Scheduling — coalescing,
-  // repair candidacy — classifies on the serial value BEFORE any rank
-  // launches; the lanes recompute the fingerprint collectively (so the
-  // probe is charged to the ledger) and DRCM_CHECK agreement.
-  std::vector<sparse::CsrMatrix> adjacencies(nreq);
-  std::vector<RefinedFingerprint> refined(nreq);
-  std::vector<PatternFingerprint> salted(nreq);
-  // Per-request RESOLVED options: kAuto is resolved driver-side on the
-  // stripped adjacency (the same input dist_order would resolve on), so
-  // the cache key, the lane execution and the response all agree on the
-  // concrete algorithm — and an auto request shares the slot of an
-  // explicit request for its resolution.
-  std::vector<rcm::DistRcmOptions> resolved(nreq);
-  std::vector<char> auto_selected(nreq, 0);
-  std::vector<rcm::OrderingProxies> proxies(nreq);
-  for (std::size_t i = 0; i < nreq; ++i) {
-    const auto& rq = requests[i];
-    DRCM_CHECK(rq.matrix != nullptr, "request needs a matrix");
-    DRCM_CHECK(rq.b.size() == static_cast<std::size_t>(rq.matrix->n()),
-               "request rhs size mismatch");
-    adjacencies[i] = rq.matrix->strip_diagonal();
-    refined[i] = fingerprint_pattern_serial(*rq.matrix);
-    resolved[i] = rq.rcm;
-    if (resolved[i].ordering.algorithm == rcm::OrderingAlgorithm::kAuto) {
-      const auto choice = rcm::select_ordering(adjacencies[i]);
-      resolved[i].ordering.algorithm = choice.algorithm;
-      auto_selected[i] = 1;
-      proxies[i] = choice.proxies;
-    }
-    salted[i] = salt_ordering_options(refined[i].fp, resolved[i]);
-  }
-
-  // Driver-side checkpoints, deposited by the ranks and read only after
-  // Runtime::run has joined every thread (it joins on faults too, so the
-  // deposits of completed requests survive an aborted launch).
-  std::vector<char> done(nreq, 0);
-  std::vector<std::vector<std::vector<double>>> slabs(nreq);
-  std::vector<std::vector<index_t>> pending_labels(nreq);
-  std::vector<rcm::OrderingRecipe> pending_recipes(nreq);
-  /// Coalescing memo: the request sat out a wave behind an identical
-  /// in-flight fingerprint (reported as OrderSolveResponse::coalesced).
-  std::vector<char> was_deferred(nreq, 0);
-  /// A fault killed this request mid-repair: the relaunch runs it COLD —
-  /// the opportunistic path lost its chance, the request did not.
-  std::vector<char> no_repair(nreq, 0);
-
-  std::vector<std::size_t> remaining(nreq);
-  for (std::size_t i = 0; i < nreq; ++i) remaining[i] = i;
-
+  Batch batch(requests);
   // Entries a request of THIS batch was served from (hits and repair
-  // sources) are pinned: wave-end inserts may never evict them while the
-  // batch is in flight (satellite: coalesced twins land exactly here).
-  PinnedSet pinned;
+  // sources) stay pinned while it is in flight.
+  cache_.unpin_all();
+  while (!batch.remaining.empty()) {
+    Wave wave = plan_wave(batch);
+    const bool clean = run_wave(batch, wave);
+    commit_wave(batch, wave, clean);
+  }
+  return std::move(batch.responses);
+}
 
-  // Finalized miss orderings, applied to the cache at WAVE end — after
-  // the launch joined (lanes only ever READ the cache while ranks run)
-  // and before the next wave schedules, so a deferred twin hits the
-  // entry its sibling just computed.
-  std::vector<std::pair<PatternFingerprint, CacheEntry>> to_insert;
-
-  const int P = options_.ranks;
-  int relaunches = 0;
-  std::string last_error = "unknown failure";
-
-  while (!remaining.empty()) {
-    // ---- Wave scheduling: coalescing -------------------------------
-    // Exact hits all run (they share the entry read-only). Of the
-    // misses, only the FIRST occurrence of each salted fingerprint runs
-    // this wave; twins wait a wave and are served from the insert.
-    std::vector<std::size_t> wave;
-    std::vector<std::size_t> deferred;
-    {
-      PinnedSet inflight;
-      for (const std::size_t req : remaining) {
-        if (cache_.find(salted[req]) != cache_.end() ||
-            inflight.insert(salted[req]).second) {
-          wave.push_back(req);
-        } else {
-          deferred.push_back(req);
-          was_deferred[req] = 1;
+ReorderingService::Wave ReorderingService::plan_wave(Batch& batch) const {
+  Wave wave;
+  // Coalescing: exact hits all run (they share the entry read-only). Of
+  // the misses, only the FIRST occurrence of each salted fingerprint runs
+  // this wave; twins wait a wave and are served from the insert.
+  std::unordered_set<PatternFingerprint, PatternFingerprintHash> inflight;
+  for (const std::size_t req : batch.remaining) {
+    auto& st = batch.state[req];
+    st.mode = Mode::kCold;
+    if (cache_.find(st.salted) != nullptr) {
+      st.mode = Mode::kHit;
+    } else if (!inflight.insert(st.salted).second) {
+      wave.deferred.push_back(req);
+      st.deferred = true;
+      continue;
+    } else if (!st.no_repair && repair_capable(st.resolved)) {
+      // Near-miss: repair from the closest cached entry when
+      // rcm::plan_repair prices that strictly under a cold recompute.
+      auto source = cache_.repair_candidate(st.refined, st.resolved.ordering);
+      if (source) {
+        rcm::RepairPlan plan =
+            rcm::plan_repair(source->entry->recipe, source->entry->labels,
+                             source->changed_rows, st.refined.fp.n);
+        if (plan.profitable) {
+          st.mode = Mode::kRepair;
+          st.repair = std::move(plan);
+          st.source = std::move(*source);
         }
       }
     }
-
-    // ---- Wave scheduling: hit / repair / cold classification -------
-    enum class Mode { kCold, kHit, kRepair };
-    std::vector<Mode> mode(nreq, Mode::kCold);
-    std::vector<rcm::RepairPlan> plans(nreq);
-    std::vector<const CacheEntry*> sources(nreq, nullptr);
-    std::vector<PatternFingerprint> source_fp(nreq);
-    std::vector<int> diff_windows(nreq, 0);
-    for (const std::size_t req : wave) {
-      const auto& rq = requests[req];
-      if (cache_.find(salted[req]) != cache_.end()) {
-        mode[req] = Mode::kHit;
-        continue;
-      }
-      if (!options_.enable_repair || no_repair[req] || rq.rcm.load_balance ||
-          resolved[req].ordering.algorithm != rcm::OrderingAlgorithm::kRcm) {
-        // Repair is RCM-only in v1: Sloan and GPS runs capture no recipe,
-        // so there is nothing sound to splice — decline honestly and run
-        // the request cold.
-        continue;
-      }
-      // Repair candidate: the repair-eligible entry of the same n with
-      // the FEWEST differing row windows (ties to most recently used —
-      // a deterministic tie-break; map order is not), under the cap.
-      const CacheEntry* best = nullptr;
-      PatternFingerprint best_fp{};
-      int best_diff = 0;
-      std::uint64_t best_tick = 0;
-      for (const auto& [fp, entry] : cache_) {
-        if (!entry.repair_eligible || entry.rf.fp.n != refined[req].fp.n) {
-          continue;
-        }
-        // The cached labels must come from the SAME resolved ordering the
-        // request wants: splicing across algorithms or peripheral modes
-        // would break the repair's bit-identity-with-cold contract.
-        if (entry.spec.algorithm != resolved[req].ordering.algorithm ||
-            entry.spec.peripheral_mode !=
-                resolved[req].ordering.peripheral_mode) {
-          continue;
-        }
-        int diff = 0;
-        for (int w = 0; w < kFingerprintWindows; ++w) {
-          diff += entry.rf.windows[static_cast<std::size_t>(w)] !=
-                  refined[req].windows[static_cast<std::size_t>(w)];
-        }
-        if (diff < 1 || diff > options_.repair_max_windows) continue;
-        if (best == nullptr || diff < best_diff ||
-            (diff == best_diff && entry.last_use_tick > best_tick)) {
-          best = &entry;
-          best_fp = fp;
-          best_diff = diff;
-          best_tick = entry.last_use_tick;
-        }
-      }
-      if (best == nullptr) continue;
-      std::vector<std::pair<index_t, index_t>> changed;
-      for (int w = 0; w < kFingerprintWindows; ++w) {
-        if (best->rf.windows[static_cast<std::size_t>(w)] !=
-            refined[req].windows[static_cast<std::size_t>(w)]) {
-          changed.push_back(fingerprint_window_rows(w, refined[req].fp.n));
-        }
-      }
-      rcm::RepairPlan repair_plan = rcm::plan_repair(
-          best->recipe, best->labels, changed, refined[req].fp.n);
-      if (!repair_plan.profitable) continue;
-      mode[req] = Mode::kRepair;
-      plans[req] = std::move(repair_plan);
-      sources[req] = best;
-      source_fp[req] = best_fp;
-      diff_windows[req] = best_diff;
-    }
-
-    const LanePlan plan = plan_lanes(P, wave.size(), options_.max_lanes);
-
-    // Deal the wave's requests round-robin onto the lanes.
-    std::vector<std::vector<std::size_t>> lane_queue(
-        static_cast<std::size_t>(plan.nlanes));
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      lane_queue[i % static_cast<std::size_t>(plan.nlanes)].push_back(wave[i]);
-    }
-
-    // Fresh per-attempt deposit slots (an aborted attempt's partial
-    // deposits for unfinished requests must not leak into this one).
-    for (const std::size_t req : wave) {
-      responses[req] = OrderSolveResponse{};
-      responses[req].report.ranks.resize(
-          static_cast<std::size_t>(plan.lane_size));
-      responses[req].algorithm = resolved[req].ordering.algorithm;
-      responses[req].auto_selected = auto_selected[req] != 0;
-      responses[req].proxies = proxies[req];
-      slabs[req].assign(static_cast<std::size_t>(plan.lane_size), {});
-      pending_labels[req].clear();
-      pending_recipes[req] = rcm::OrderingRecipe{};
-    }
-
-    // Which request each world rank is inside, for fault attribution.
-    std::vector<int> current_request(static_cast<std::size_t>(P), -1);
-
-    const auto body = [&](mps::Comm& world) {
-      const int wr = world.rank();
-      const int color = plan.color_of(wr);
-      mps::Comm lane = world.split(color, wr);
-      if (color == plan.nlanes) return;  // idle this wave
-
-      // The lane grid adopts this WORLD rank's persistent workspace, so
-      // buffer capacities warmed by earlier requests (and earlier waves)
-      // carry over and the realloc ledger spans the whole stream.
-      dist::ProcGrid2D grid(lane, &workspaces_[static_cast<std::size_t>(wr)]);
-
-      for (const std::size_t req : lane_queue[static_cast<std::size_t>(color)]) {
-        current_request[static_cast<std::size_t>(wr)] = static_cast<int>(req);
-        const auto& rq = requests[req];
-        // The RESOLVED options (kAuto already concrete) are what the lane
-        // executes — so the salt, the entry and the run can never diverge.
-        const auto& ropt = resolved[req];
-
-        // Per-request ledger isolation: park the attempt's running totals,
-        // run the request on a zeroed recorder (peak_resident included, so
-        // the pipeline's per-rank budget asserts per request), then fold
-        // the request's segment back into the running totals.
-        const auto saved = lane.stats();
-        lane.stats().reset();
-        const auto realloc0 =
-            workspaces_[static_cast<std::size_t>(wr)].reallocations();
-
-        // The lane's collective fingerprint (charged to kOther) must
-        // reproduce the driver's serial classification value bit for bit
-        // — partition invariance is the property the whole schedule
-        // rests on.
-        const RefinedFingerprint rf =
-            fingerprint_pattern_refined(lane, *rq.matrix, grid);
-        const PatternFingerprint fp = salt_ordering_options(rf.fp, ropt);
-        DRCM_CHECK(fp == salted[req] && rf.windows == refined[req].windows,
-                   "lane fingerprint must match the driver's serial twin");
-
-        // Recipe capture (rank 0 only — the vector is driver-side) is
-        // what makes a cold entry repair-eligible; balanced orderings
-        // skip it (their work numbering is decoupled by the relabel), and
-        // so do non-RCM arms (dist_order captures recipes on kRcm only).
-        rcm::OrderingRecipe* recipe_sink =
-            (lane.rank() == 0 && !rq.rcm.load_balance &&
-             ropt.ordering.algorithm == rcm::OrderingAlgorithm::kRcm)
-                ? &pending_recipes[req]
-                : nullptr;
-
-        // One pipeline call per request; the hit and repair branches add
-        // the known labels (which make the core skip the ordering and
-        // ignore the adjacency and recipe sink).
-        rcm::OrderedSolveSpec spec;
-        spec.matrix = rq.matrix;
-        spec.b = rq.b;
-        spec.precondition = rq.precondition;
-        spec.rcm = ropt;
-        spec.cg = rq.cg;
-        spec.adjacency = &adjacencies[req];
-        spec.recipe = recipe_sink;
-
-        rcm::OrderedSolveResult result;
-        rcm::RepairResult rep;
-        bool repaired = false;
-        if (mode[req] == Mode::kHit) {
-          const CacheEntry* entry = cache_find(fp);
-          DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
-          spec.labels = &entry->labels;
-          result = rcm::ordered_solve_spec(grid, spec);
-          DRCM_CHECK(mps::ordering_crossings(lane.stats()) == 0,
-                     "cache hit must skip every ordering collective");
-        } else if (mode[req] == Mode::kRepair) {
-          const CacheEntry* src = sources[req];
-          rep = rcm::dist_rcm_repair(grid, adjacencies[req], src->labels,
-                                     src->recipe, plans[req], ropt);
-          if (rep.ok) {
-            if (options_.verify_repair) {
-              // Stats-isolated cross-check: the cold ordering must agree
-              // bit for bit, but its collectives must not pollute this
-              // request's ledger (or the crossing comparison the repair
-              // exists to win).
-              const auto parked = lane.stats();
-              lane.stats().reset();
-              const auto cold = rcm::dist_rcm(lane, adjacencies[req], ropt);
-              lane.stats() = parked;
-              DRCM_CHECK(cold == rep.labels,
-                         "repair must be bit-identical to a cold recompute");
-            }
-            spec.labels = &rep.labels;
-            result = rcm::ordered_solve_spec(grid, spec);
-            result.labels = std::move(rep.labels);
-            repaired = true;
-          } else {
-            // Structural change detected mid-repair (component
-            // split/merge/reorder): honest cold fallback, recipe
-            // captured so the fresh entry is itself repair-eligible.
-            result = rcm::ordered_solve_spec(grid, spec);
-          }
-        } else {
-          result = rcm::ordered_solve_spec(grid, spec);
-        }
-
-        const std::uint64_t my_crossings =
-            mps::ordering_crossings(lane.stats());
-        const std::uint64_t my_reallocs =
-            workspaces_[static_cast<std::size_t>(wr)].reallocations() -
-            realloc0;
-        const auto max_crossings = lane.allreduce(
-            my_crossings,
-            [](std::uint64_t x, std::uint64_t y) { return std::max(x, y); });
-        const auto sum_reallocs = lane.allreduce(
-            my_reallocs,
-            [](std::uint64_t x, std::uint64_t y) { return x + y; });
-
-        const auto mine = lane.stats();
-        lane.stats() = saved;
-        lane.stats().merge_from(mine);
-
-        // Deposit this rank's share. Lane rank 0 flips `done` LAST: the
-        // flip happens after both allreduces above, which every lane rank
-        // must have entered, and each rank's deposits precede its next
-        // collective — so done == 1 guarantees complete deposits by the
-        // time the runtime has joined the threads.
-        slabs[req][static_cast<std::size_t>(lane.rank())] =
-            std::move(result.x_local);
-        responses[req].report.ranks[static_cast<std::size_t>(lane.rank())] =
-            mine;
-        if (lane.rank() == 0) {
-          auto& resp = responses[req];
-          resp.cache_hit = mode[req] == Mode::kHit;
-          // A repair only counts as a HIT when it actually skipped work;
-          // one that degraded to a full recompute is honest about it.
-          resp.repair_hit =
-              repaired && (rep.reused >= 1 || rep.level_steps_skipped >= 1);
-          resp.level_steps_skipped = repaired ? rep.level_steps_skipped : 0;
-          resp.changed_windows =
-              mode[req] == Mode::kRepair ? diff_windows[req] : 0;
-          resp.fingerprint = fp;
-          resp.permuted_bandwidth = result.permuted_bandwidth;
-          resp.cg = result.cg;
-          resp.ordering_crossings = max_crossings;
-          resp.workspace_reallocations = sum_reallocs;
-          resp.lane = color;
-          resp.lane_ranks = plan.lane_size;
-          if (mode[req] != Mode::kHit) {
-            pending_labels[req] = std::move(result.labels);
-            if (repaired) pending_recipes[req] = std::move(rep.recipe);
-          }
-          done[req] = 1;
-        }
-        current_request[static_cast<std::size_t>(wr)] = -1;
-      }
-    };
-
-    // Finalizes every request the launch completed: assemble the
-    // replicated solution outside the ranks (like run_ordered_solve),
-    // count the cache outcome, bump/pin served entries, stage miss
-    // orderings for the wave-end insert, and drop the request from the
-    // wave.
-    const auto finalize_wave = [&]() {
-      std::vector<std::size_t> still;
-      still.reserve(wave.size());
-      for (const std::size_t req : wave) {
-        if (!done[req]) {
-          still.push_back(req);
-          continue;
-        }
-        auto& resp = responses[req];
-        const index_t n = requests[req].matrix->n();
-        resp.coalesced = was_deferred[req] != 0;
-        const std::vector<index_t>* labels = nullptr;
-        if (resp.cache_hit) {
-          ++cache_hits_;
-          if (resp.coalesced) ++coalesced_served_;
-          const auto it = cache_.find(resp.fingerprint);
-          DRCM_CHECK(it != cache_.end(), "hit entry vanished mid-batch");
-          it->second.last_use_tick = ++tick_;
-          pinned.insert(resp.fingerprint);
-          labels = &it->second.labels;
-        } else {
-          ++cache_misses_;
-          if (!is_permutation(pending_labels[req], n)) {
-            resp.status = RequestStatus::kFault;
-            resp.error = "ordering produced an invalid permutation";
-            continue;
-          }
-          labels = &pending_labels[req];
-          if (resp.repair_hit) {
-            ++repair_hits_;
-            // The repair source was served FROM: recency-bump and pin it
-            // like a hit (a wave-end insert must not evict it either).
-            const auto it = cache_.find(source_fp[req]);
-            if (it != cache_.end()) {
-              it->second.last_use_tick = ++tick_;
-              pinned.insert(source_fp[req]);
-            }
-          }
-        }
-        std::vector<double> x_perm;
-        x_perm.reserve(static_cast<std::size_t>(n));
-        for (auto& slab : slabs[req]) {
-          x_perm.insert(x_perm.end(), slab.begin(), slab.end());
-        }
-        DRCM_CHECK(x_perm.size() == static_cast<std::size_t>(n),
-                   "solution slabs must cover every permuted row exactly once");
-        resp.x.resize(static_cast<std::size_t>(n));
-        for (index_t v = 0; v < n; ++v) {
-          resp.x[static_cast<std::size_t>(v)] =
-              x_perm[static_cast<std::size_t>((*labels)[static_cast<std::size_t>(
-                  v)])];
-        }
-        resp.status = RequestStatus::kOk;
-        resp.report.machine = options_.machine;
-        if (!resp.cache_hit) {
-          CacheEntry entry;
-          entry.labels = std::move(pending_labels[req]);
-          entry.rf = refined[req];
-          entry.spec = resolved[req].ordering;
-          entry.recipe = std::move(pending_recipes[req]);
-          entry.repair_eligible =
-              !requests[req].rcm.load_balance && !entry.recipe.empty() &&
-              entry.spec.algorithm == rcm::OrderingAlgorithm::kRcm;
-          for (const auto& rank_stats : resp.report.ranks) {
-            entry.cost_wall =
-                std::max(entry.cost_wall, ordering_wall(rank_stats));
-          }
-          to_insert.emplace_back(salted[req], std::move(entry));
-        }
-      }
-      wave.swap(still);
-    };
-
-    mps::SpmdReport partial;
-    mps::RunOptions run_options;
-    run_options.machine = options_.machine;
-    run_options.threads_per_rank = options_.threads_per_rank;
-    run_options.faults = options_.faults;
-    run_options.watchdog_seconds = options_.watchdog_seconds;
-    run_options.report_on_error = &partial;
-
-    ++launches_;
-    bool wave_clean = false;
-    try {
-      const auto report = mps::Runtime::run(P, body, run_options);
-      cumulative_.merge_from(report);
-      finalize_wave();
-      DRCM_CHECK(wave.empty(),
-                 "fault-free launch must complete every scheduled request");
-      wave_clean = true;
-    } catch (const mps::InjectedFault& f) {
-      // Attributable fault: the dying rank's in-flight request gets a
-      // structured kFault response — unless it died mid-REPAIR, in which
-      // case the request survives and relaunches cold (the cache is
-      // untouched either way; inserts only follow validated deposits).
-      // Everyone else is relaunched from the driver's checkpoints
-      // (one-shot actions cannot re-fire).
-      cumulative_.merge_from(partial);
-      finalize_wave();
-      last_error = std::string("injected ") + mps::fault_kind_name(f.kind()) +
-                   " on rank " + std::to_string(f.rank()) + " at collective " +
-                   std::to_string(f.ordinal());
-      const int victim = current_request[static_cast<std::size_t>(f.rank())];
-      if (victim >= 0 && !done[static_cast<std::size_t>(victim)]) {
-        if (mode[static_cast<std::size_t>(victim)] == Mode::kRepair) {
-          no_repair[static_cast<std::size_t>(victim)] = 1;
-        } else {
-          auto& resp = responses[static_cast<std::size_t>(victim)];
-          resp.status = RequestStatus::kFault;
-          resp.error = last_error;
-          wave.erase(std::remove(wave.begin(), wave.end(),
-                                 static_cast<std::size_t>(victim)),
-                     wave.end());
-        }
-      }
-      ++relaunches;
-    } catch (const mps::InjectedAllocFailure& f) {
-      cumulative_.merge_from(partial);
-      finalize_wave();
-      last_error = "injected alloc-failure on rank " +
-                   std::to_string(f.rank()) + " at collective " +
-                   std::to_string(f.ordinal());
-      const int victim = current_request[static_cast<std::size_t>(f.rank())];
-      if (victim >= 0 && !done[static_cast<std::size_t>(victim)]) {
-        if (mode[static_cast<std::size_t>(victim)] == Mode::kRepair) {
-          no_repair[static_cast<std::size_t>(victim)] = 1;
-        } else {
-          auto& resp = responses[static_cast<std::size_t>(victim)];
-          resp.status = RequestStatus::kFault;
-          resp.error = last_error;
-          wave.erase(std::remove(wave.begin(), wave.end(),
-                                 static_cast<std::size_t>(victim)),
-                     wave.end());
-        }
-      }
-      ++relaunches;
-    } catch (const std::exception& e) {
-      // No rank attribution (corruption faults surface as downstream check
-      // failures; watchdog timeouts name no single request): retry every
-      // unfinished request — one-shot fault semantics still guarantee the
-      // relaunch makes progress.
-      cumulative_.merge_from(partial);
-      finalize_wave();
-      last_error = e.what();
-      ++relaunches;
-    }
-
-    // Wave-end inserts: after the launch joined (lanes never see the
-    // cache move) and before the next wave schedules — a deferred twin's
-    // next classification finds its sibling's entry and HITS.
-    for (auto& [fp, entry] : to_insert) {
-      cache_insert(fp, std::move(entry), pinned);
-    }
-    to_insert.clear();
-
-    remaining = std::move(wave);
-    remaining.insert(remaining.end(), deferred.begin(), deferred.end());
-
-    if (!wave_clean && relaunches > options_.max_relaunches &&
-        !remaining.empty()) {
-      for (const std::size_t req : remaining) {
-        responses[req].status = RequestStatus::kFault;
-        responses[req].error = "relaunch budget exhausted: " + last_error;
-      }
-      remaining.clear();
-    }
+    wave.scheduled.push_back(req);
   }
 
-  return responses;
+  wave.lanes = plan_lanes(options_.ranks, wave.scheduled.size());
+  const auto nlanes = static_cast<std::size_t>(wave.lanes.nlanes);
+  wave.lane_queue.resize(nlanes);
+  for (std::size_t i = 0; i < wave.scheduled.size(); ++i) {
+    wave.lane_queue[i % nlanes].push_back(wave.scheduled[i]);
+  }
+  wave.current_request.assign(static_cast<std::size_t>(options_.ranks), -1);
+
+  // Fresh per-attempt deposit slots (an aborted attempt's partial
+  // deposits for unfinished requests must not leak into this one).
+  const auto lane_size = static_cast<std::size_t>(wave.lanes.lane_size);
+  for (const std::size_t req : wave.scheduled) {
+    auto& st = batch.state[req];
+    auto& resp = batch.responses[req];
+    resp = OrderSolveResponse{};
+    resp.report.ranks.resize(lane_size);
+    resp.algorithm = st.resolved.ordering.algorithm;
+    resp.auto_selected = st.auto_selected;
+    resp.proxies = st.proxies;
+    st.slabs.assign(lane_size, {});
+    st.labels.clear();
+    st.recipe = rcm::OrderingRecipe{};
+  }
+  return wave;
+}
+
+bool ReorderingService::run_wave(Batch& batch, Wave& wave) {
+  const auto body = [&](mps::Comm& world) {
+    const int wr = world.rank();
+    const int color = wave.lanes.color_of(wr);
+    mps::Comm lane = world.split(color, wr);
+    if (color == wave.lanes.nlanes) return;  // idle this wave
+
+    // The lane grid adopts this WORLD rank's persistent workspace, so
+    // buffer capacities warmed by earlier requests (and earlier waves)
+    // carry over and the realloc ledger spans the whole stream.
+    dist::ProcGrid2D grid(lane, &workspaces_[static_cast<std::size_t>(wr)]);
+    auto& current = wave.current_request[static_cast<std::size_t>(wr)];
+    for (const std::size_t req :
+         wave.lane_queue[static_cast<std::size_t>(color)]) {
+      current = static_cast<int>(req);
+      run_request(batch, wave, req, lane, grid, wr);
+      current = -1;
+    }
+  };
+
+  // An attributable fault: the dying rank's in-flight request gets a
+  // structured kFault response — unless it died mid-REPAIR, in which case
+  // it survives and relaunches cold (the cache is untouched either way;
+  // inserts only follow validated deposits). Everyone else is relaunched
+  // from the driver's checkpoints (one-shot actions cannot re-fire).
+  const auto attribute = [&](int rank, mps::FaultKind kind,
+                             std::uint64_t ordinal) {
+    batch.last_error = std::string("injected ") + mps::fault_kind_name(kind) +
+                       " on rank " + std::to_string(rank) +
+                       " at collective " + std::to_string(ordinal);
+    const int victim = wave.current_request[static_cast<std::size_t>(rank)];
+    if (victim < 0 || batch.state[static_cast<std::size_t>(victim)].done) {
+      return;
+    }
+    const auto req = static_cast<std::size_t>(victim);
+    if (batch.state[req].mode == Mode::kRepair) {
+      batch.state[req].no_repair = true;
+    } else {
+      batch.responses[req].status = RequestStatus::kFault;
+      batch.responses[req].error = batch.last_error;
+      std::erase(wave.scheduled, req);
+    }
+  };
+
+  mps::SpmdReport partial;
+  mps::RunOptions run_options;
+  run_options.machine = options_.machine;
+  run_options.threads_per_rank = options_.threads_per_rank;
+  run_options.faults = options_.faults;
+  run_options.watchdog_seconds = options_.watchdog_seconds;
+  run_options.report_on_error = &partial;
+
+  ++launches_;
+  try {
+    cumulative_.merge_from(
+        mps::Runtime::run(options_.ranks, body, run_options));
+    return true;
+  } catch (const mps::InjectedFault& f) {
+    attribute(f.rank(), f.kind(), f.ordinal());
+  } catch (const mps::InjectedAllocFailure& f) {
+    attribute(f.rank(), mps::FaultKind::kAllocFailure, f.ordinal());
+  } catch (const std::exception& e) {
+    // No rank attribution (corruption faults surface as downstream check
+    // failures; watchdog timeouts name no single request): retry every
+    // unfinished request — one-shot fault semantics still guarantee the
+    // relaunch makes progress.
+    batch.last_error = e.what();
+  }
+  cumulative_.merge_from(partial);
+  ++batch.relaunches;
+  return false;
+}
+
+void ReorderingService::run_request(Batch& batch, const Wave& wave,
+                                    std::size_t req, mps::Comm& lane,
+                                    dist::ProcGrid2D& grid,
+                                    int world_rank) const {
+  const auto& rq = batch.requests[req];
+  auto& st = batch.state[req];
+  // The RESOLVED options (kAuto already concrete) are what the lane
+  // executes — so the salt, the entry and the run can never diverge.
+  const auto& ropt = st.resolved;
+  const auto& workspace = workspaces_[static_cast<std::size_t>(world_rank)];
+
+  // Per-request ledger isolation: park the attempt's running totals, run
+  // the request on a zeroed recorder (peak_resident included, so the
+  // pipeline's per-rank budget asserts per request), then fold the
+  // request's segment back into the running totals.
+  const auto saved = lane.stats();
+  lane.stats().reset();
+  const auto realloc0 = workspace.reallocations();
+
+  // The lane's collective fingerprint (charged to kOther) must reproduce
+  // the driver's serial classification value bit for bit — partition
+  // invariance is the property the whole schedule rests on.
+  const RefinedFingerprint rf =
+      fingerprint_pattern_refined(lane, *rq.matrix, grid);
+  const PatternFingerprint fp = salt_ordering_options(rf.fp, ropt);
+  DRCM_CHECK(fp == st.salted && rf.windows == st.refined.windows,
+             "lane fingerprint must match the driver's serial twin");
+
+  // One pipeline call per request; the hit and repair branches add the
+  // known labels (which make the core skip the ordering and ignore the
+  // adjacency and recipe sink). Recipe capture (rank 0 only — the vector
+  // is driver-side) is what makes a cold entry repair-eligible.
+  rcm::OrderedSolveSpec spec;
+  spec.matrix = rq.matrix;
+  spec.b = rq.b;
+  spec.precondition = rq.precondition;
+  spec.rcm = ropt;
+  spec.cg = rq.cg;
+  spec.adjacency = &st.adjacency;
+  spec.recipe =
+      lane.rank() == 0 && repair_capable(ropt) ? &st.recipe : nullptr;
+
+  rcm::RepairResult rep;
+  if (st.mode == Mode::kHit) {
+    const CacheEntry* entry = cache_.find(fp);
+    DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
+    spec.labels = &entry->labels;
+  } else if (st.mode == Mode::kRepair) {
+    const CacheEntry& src = *st.source.entry;
+    rep = rcm::dist_rcm_repair(grid, st.adjacency, src.labels, src.recipe,
+                               st.repair, ropt);
+    // A structural change detected mid-repair (component split / merge /
+    // reorder) falls back to an honest cold run, recipe captured so the
+    // fresh entry is itself repair-eligible.
+    if (rep.ok) spec.labels = &rep.labels;
+    if (rep.ok && options_.verify_repair) {
+      // Stats-isolated cross-check: the cold ordering must agree bit for
+      // bit, but its collectives must not pollute this request's ledger
+      // (or the crossing comparison the repair exists to win).
+      const auto parked = lane.stats();
+      lane.stats().reset();
+      const auto cold = rcm::dist_rcm(lane, st.adjacency, ropt);
+      lane.stats() = parked;
+      DRCM_CHECK(cold == rep.labels,
+                 "repair must be bit-identical to a cold recompute");
+    }
+  }
+  const bool repaired = st.mode == Mode::kRepair && rep.ok;
+  rcm::OrderedSolveResult result = rcm::ordered_solve_spec(grid, spec);
+  DRCM_CHECK(
+      st.mode != Mode::kHit || mps::ordering_crossings(lane.stats()) == 0,
+      "cache hit must skip every ordering collective");
+
+  const auto max_crossings = lane.allreduce(
+      mps::ordering_crossings(lane.stats()),
+      [](std::uint64_t x, std::uint64_t y) { return std::max(x, y); });
+  const auto sum_reallocs =
+      lane.allreduce(workspace.reallocations() - realloc0,
+                     [](std::uint64_t x, std::uint64_t y) { return x + y; });
+
+  const auto mine = lane.stats();
+  lane.stats() = saved;
+  lane.stats().merge_from(mine);
+
+  // Deposit this rank's share. Lane rank 0 flips `done` LAST: the flip
+  // happens after both allreduces above, which every lane rank must have
+  // entered, and each rank's deposits precede its next collective — so
+  // done == true guarantees complete deposits by the time the runtime has
+  // joined the threads.
+  auto& resp = batch.responses[req];
+  st.slabs[static_cast<std::size_t>(lane.rank())] = std::move(result.x_local);
+  resp.report.ranks[static_cast<std::size_t>(lane.rank())] = mine;
+  if (lane.rank() != 0) return;
+  resp.cache_hit = st.mode == Mode::kHit;
+  // A repair only counts as a HIT when it actually skipped work; one that
+  // degraded to a full recompute is honest about it.
+  resp.repair_hit =
+      repaired && (rep.reused >= 1 || rep.level_steps_skipped >= 1);
+  resp.level_steps_skipped = repaired ? rep.level_steps_skipped : 0;
+  resp.changed_windows =
+      st.mode == Mode::kRepair ? st.source.changed_windows : 0;
+  resp.fingerprint = fp;
+  resp.permuted_bandwidth = result.permuted_bandwidth;
+  resp.cg = result.cg;
+  resp.ordering_crossings = max_crossings;
+  resp.workspace_reallocations = sum_reallocs;
+  resp.lane = wave.lanes.color_of(world_rank);
+  resp.lane_ranks = wave.lanes.lane_size;
+  if (repaired) {
+    st.labels = std::move(rep.labels);
+    st.recipe = std::move(rep.recipe);
+  } else if (st.mode != Mode::kHit) {
+    st.labels = std::move(result.labels);
+  }
+  st.done = true;
+}
+
+void ReorderingService::commit_wave(Batch& batch, Wave& wave, bool clean) {
+  // New orderings are inserted after the loop: after the launch joined
+  // (lanes never see the cache move) and before the next wave schedules,
+  // so a deferred twin's next classification finds its sibling's entry
+  // and HITS.
+  std::vector<std::pair<PatternFingerprint, CacheEntry>> to_insert;
+  std::vector<std::size_t> unfinished;
+  for (const std::size_t req : wave.scheduled) {
+    auto& st = batch.state[req];
+    auto& resp = batch.responses[req];
+    if (!st.done) {
+      unfinished.push_back(req);
+      continue;
+    }
+    resp.coalesced = st.deferred;
+    const std::vector<index_t>* labels = &st.labels;
+    if (resp.cache_hit) {
+      ++cache_hits_;
+      if (resp.coalesced) ++coalesced_served_;
+      const CacheEntry* entry = cache_.serve(resp.fingerprint);
+      DRCM_CHECK(entry != nullptr, "hit entry vanished mid-batch");
+      labels = &entry->labels;
+    } else {
+      ++cache_misses_;
+      // Labels must be a permutation of [0, n) before they may touch the
+      // cache or index the solution assembly — a faulted or corrupted
+      // ordering surfaces as a structured error, never as a poisoned
+      // cache entry.
+      if (st.labels.size() != static_cast<std::size_t>(st.refined.fp.n) ||
+          !sparse::is_valid_permutation(st.labels)) {
+        resp.status = RequestStatus::kFault;
+        resp.error = "ordering produced an invalid permutation";
+        continue;
+      }
+      if (resp.repair_hit) {
+        ++repair_hits_;
+        cache_.serve(st.source.fp);
+      }
+    }
+    resp.x = rcm::assemble_solution(st.slabs, *labels);
+    resp.status = RequestStatus::kOk;
+    resp.report.machine = options_.machine;
+    if (!resp.cache_hit) {
+      CacheEntry entry;
+      entry.labels = std::move(st.labels);
+      entry.rf = st.refined;
+      entry.spec = st.resolved.ordering;
+      entry.recipe = std::move(st.recipe);
+      for (const auto& rank_stats : resp.report.ranks) {
+        entry.cost_wall =
+            std::max(entry.cost_wall, mps::ordering_wall(rank_stats));
+      }
+      to_insert.emplace_back(st.salted, std::move(entry));
+    }
+  }
+  DRCM_CHECK(!clean || unfinished.empty(),
+             "fault-free launch must complete every scheduled request");
+  for (auto& [fp, entry] : to_insert) cache_.insert(fp, std::move(entry));
+
+  batch.remaining = std::move(unfinished);
+  batch.remaining.insert(batch.remaining.end(), wave.deferred.begin(),
+                         wave.deferred.end());
+  if (!clean && batch.relaunches > kMaxRelaunches) {
+    for (const std::size_t req : batch.remaining) {
+      batch.responses[req].status = RequestStatus::kFault;
+      batch.responses[req].error =
+          "relaunch budget exhausted: " + batch.last_error;
+    }
+    batch.remaining.clear();
+  }
 }
 
 std::uint64_t ReorderingService::workspace_reallocations() const {
   std::uint64_t total = 0;
   for (const auto& ws : workspaces_) total += ws.reallocations();
   return total;
-}
-
-const ReorderingService::CacheEntry* ReorderingService::cache_find(
-    const PatternFingerprint& fp) const {
-  const auto it = cache_.find(fp);
-  return it == cache_.end() ? nullptr : &it->second;
-}
-
-void ReorderingService::cache_insert(const PatternFingerprint& fp,
-                                     CacheEntry entry,
-                                     const PinnedSet& pinned) {
-  if (options_.cache_capacity == 0) return;
-  // A pattern can race into to_insert twice across waves (a relaunched
-  // miss whose twin already landed); keep the first — it is the entry
-  // twins were served from.
-  if (cache_.find(fp) != cache_.end()) return;
-  while (cache_.size() >= options_.cache_capacity) {
-    // Cost/recency eviction: the victim minimizes cost_wall / age
-    // (age in ticks since last insert-or-hit), ties to least recently
-    // used — an expensive ordering outlives a stream of cheap one-offs.
-    // Pinned entries (served to the batch in flight) are exempt; when
-    // everything resident is pinned the cache briefly overflows rather
-    // than invalidate an entry a same-batch twin was served from.
-    auto victim = cache_.end();
-    double victim_score = 0.0;
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (pinned.find(it->first) != pinned.end()) continue;
-      const double age =
-          static_cast<double>(tick_ - it->second.last_use_tick) + 1.0;
-      const double score = it->second.cost_wall / age;
-      if (victim == cache_.end() || score < victim_score ||
-          (score == victim_score &&
-           it->second.last_use_tick < victim->second.last_use_tick)) {
-        victim = it;
-        victim_score = score;
-      }
-    }
-    if (victim == cache_.end()) break;  // everything pinned: overflow
-    DRCM_CHECK(pinned.find(victim->first) == pinned.end(),
-               "eviction must never take an entry the batch was served from");
-    cache_.erase(victim);
-  }
-  entry.last_use_tick = ++tick_;
-  cache_.emplace(fp, std::move(entry));
 }
 
 }  // namespace drcm::service

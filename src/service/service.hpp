@@ -11,25 +11,22 @@
 //     the realloc ledger extends across requests and steady-state repeats
 //     of a shape run the exchanges reallocation-free.
 //
-//   * ORDERING CACHE — requests are keyed by a partition-invariant
-//     sparsity-pattern fingerprint (service/fingerprint.hpp). A repeat
-//     pattern skips BFS + SORTPERM entirely and jumps straight to the
-//     value-carrying redistribution (rcm::ordered_solve_spec with known
-//     labels); the body asserts ZERO ordering-phase barrier crossings on
-//     every hit.
-//     Eviction is COST/RECENCY weighted: each entry remembers the measured
-//     ordering wall that produced it, and the evictee minimizes
-//     cost / age — an expensive ordering survives a stream of cheap
-//     one-offs that would have FIFO'd it out.
+//   * ORDERING CACHE (service/cache.hpp) — requests are keyed by a
+//     partition-invariant sparsity-pattern fingerprint
+//     (service/fingerprint.hpp). A repeat pattern skips BFS + SORTPERM
+//     entirely and jumps straight to the value-carrying redistribution
+//     (rcm::ordered_solve_spec with known labels); the body asserts ZERO
+//     ordering-phase barrier crossings on every hit. Eviction is
+//     COST/RECENCY weighted, so an expensive ordering survives a stream of
+//     cheap one-offs.
 //
-//   * INCREMENTAL REPAIR — a near-miss (same n, small pattern delta) is
-//     detected by diffing the refined fingerprint's row-window sub-sums
-//     against cached entries. When rcm::plan_repair prices the repair
-//     under a cold recompute, the lane runs rcm::dist_rcm_repair — reuse
-//     untouched components, re-level only the affected BFS cone, splice —
-//     and falls back to a cold ordering the moment any structural check
-//     fails. Repair hits are priced strictly between a cache hit
-//     (0 ordering crossings) and a cold run.
+//   * INCREMENTAL REPAIR — a near-miss (same n, at most kRepairMaxWindows
+//     differing row windows of the refined fingerprint) runs
+//     rcm::dist_rcm_repair when rcm::plan_repair prices it under a cold
+//     recompute — reuse untouched components, re-level only the affected
+//     BFS cone, splice — and falls back to a cold ordering the moment any
+//     structural check fails. Repair hits are priced strictly between a
+//     cache hit (0 ordering crossings) and a cold run.
 //
 //   * BATCHED EXECUTION — independent requests of one batch run
 //     CONCURRENTLY on disjoint square sub-grids (lanes) carved from the
@@ -39,25 +36,31 @@
 //     served from the freshly inserted entry — the ordering runs exactly
 //     once per distinct pattern per batch.
 //
+// A batch runs in waves, each plan -> run -> commit: plan_wave classifies
+// and carves lanes against the cache, run_wave launches the lanes (which
+// only READ the cache), and commit_wave applies every cache mutation after
+// the launch has joined.
+//
 // Fault isolation: scripted FaultPlan failures are one-shot, so a killed
 // request returns a structured kFault response while its batch peers are
-// transparently relaunched from the driver's checkpoints and complete
-// bit-identically to a fault-free run. A faulted request NEVER leaves a
-// cache entry behind (labels are validated and inserted only after its
-// lane deposited a completed result).
+// transparently relaunched from the driver's checkpoints (at most
+// kMaxRelaunches times per batch) and complete bit-identically to a
+// fault-free run. A faulted request NEVER leaves a cache entry behind
+// (labels are validated and inserted only after its lane deposited a
+// completed result).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "dist/proc_grid.hpp"
 #include "dist/workspace.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/runtime.hpp"
 #include "rcm/rcm_driver.hpp"
+#include "service/cache.hpp"
 #include "service/fingerprint.hpp"
 
 namespace drcm::service {
@@ -127,6 +130,10 @@ struct OrderSolveResponse {
   int lane_ranks = 0;
 };
 
+/// Relaunches (beyond the first launch) one batch may consume recovering
+/// from faults before its unfinished requests are failed outright.
+inline constexpr int kMaxRelaunches = 3;
+
 struct ServiceOptions {
   /// World size of the service's rank fleet. Need not be square — lanes
   /// are carved as the largest square fitting the per-wave share.
@@ -137,26 +144,11 @@ struct ServiceOptions {
   /// service performs; may be null.
   mps::FaultPlan* faults = nullptr;
   double watchdog_seconds = 0.0;
-  /// Relaunches (beyond the first launch) a batch may consume recovering
-  /// from faults before surviving requests are failed outright.
-  int max_relaunches = 3;
   /// Ordering-cache capacity in patterns (cost/recency-weighted
   /// eviction; 0 disables caching AND repair). The capacity may be
   /// briefly exceeded when every resident entry is pinned by the batch
   /// in flight — served entries are never evicted mid-batch.
   std::size_t cache_capacity = 64;
-  /// Cap on concurrent lanes per batch wave (0 = one lane per request,
-  /// as many as the fleet fits).
-  int max_lanes = 0;
-  /// Attempt incremental repair on near-miss patterns: a miss whose
-  /// refined fingerprint differs from a repair-eligible cached entry in
-  /// at most repair_max_windows row windows is repaired (component
-  /// reuse + cone re-level + splice) when rcm::plan_repair prices that
-  /// strictly under a cold recompute.
-  bool enable_repair = true;
-  /// Window-diff cap for repair candidacy (1..kFingerprintWindows; a
-  /// delta touching more windows than this recomputes cold).
-  int repair_max_windows = 8;
   /// Debug cross-check: after every successful repair, run a
   /// stats-isolated cold ordering on the lane and DRCM_CHECK the repaired
   /// labels are bit-identical. Doubles the ordering cost of repairs (the
@@ -175,8 +167,9 @@ class ReorderingService {
 
   /// Executes a batch: requests are dealt round-robin onto disjoint
   /// square lanes and run concurrently; responses come back in request
-  /// order. Cache lookups see the cache as of batch start (inserts land
-  /// at batch end — lanes only ever READ the cache while ranks run).
+  /// order. Each wave's lanes see the cache as of that wave's start
+  /// (inserts land at wave end — lanes only ever READ the cache while
+  /// ranks run).
   std::vector<OrderSolveResponse> submit_batch(
       std::span<const OrderSolveRequest> requests);
 
@@ -197,50 +190,31 @@ class ReorderingService {
   std::uint64_t workspace_reallocations() const;
 
  private:
-  struct CacheEntry {
-    std::vector<index_t> labels;
-    /// Unsalted refined fingerprint of the pattern the labels order —
-    /// the row-window sub-sums near-miss classification diffs against.
-    RefinedFingerprint rf{};
-    /// Level structure captured when the labels were computed (empty for
-    /// entries that cannot seed repairs, e.g. balanced orderings).
-    rcm::OrderingRecipe recipe;
-    /// The RESOLVED ordering spec that produced the labels (kAuto already
-    /// resolved). Repair candidacy demands an exact match with the
-    /// request's resolved spec: splicing a Sloan or bi-criteria entry into
-    /// an RCM repair would break bit-identity with cold.
-    rcm::OrderingSpec spec{};
-    /// Computed with load_balance == false AND carrying a recipe: the
-    /// recipe's work numbering matches the original numbering, so the
-    /// entry can seed dist_rcm_repair. Only kRcm entries qualify (Sloan
-    /// and GPS runs capture no recipe).
-    bool repair_eligible = false;
-    /// Max over lane ranks of the ordering-phase wall that produced the
-    /// labels — the numerator of the cost/recency eviction score.
-    double cost_wall = 0.0;
-    /// Logical clock of the last insert-or-hit (eviction recency).
-    std::uint64_t last_use_tick = 0;
-  };
+  // One batch in flight, and one launch-sized wave of it (service.cpp).
+  struct Batch;
+  struct Wave;
 
-  using PinnedSet =
-      std::unordered_set<PatternFingerprint, PatternFingerprintHash>;
-
-  const CacheEntry* cache_find(const PatternFingerprint& fp) const;
-  /// Inserts under cost/recency eviction. `pinned` entries (served to a
-  /// request of the batch in flight) are never chosen as victims; when
-  /// everything is pinned the cache temporarily overflows capacity.
-  void cache_insert(const PatternFingerprint& fp, CacheEntry entry,
-                    const PinnedSet& pinned);
+  /// Coalescing, hit / repair / cold classification, lane carving and the
+  /// round-robin deal. Reads the cache only.
+  Wave plan_wave(Batch& batch) const;
+  /// One Runtime::run launch of the wave's lanes, plus fault attribution.
+  /// Returns whether the launch completed without a fault.
+  bool run_wave(Batch& batch, Wave& wave);
+  /// One request on its lane (SPMD body): hit, repair or cold dispatch,
+  /// ledger isolation, and the deposit. Reads the cache only.
+  void run_request(Batch& batch, const Wave& wave, std::size_t req,
+                   mps::Comm& lane, dist::ProcGrid2D& grid,
+                   int world_rank) const;
+  /// After the launch joined: solution assembly, counters, recency bumps
+  /// and pins, the wave-end inserts, and the relaunch budget.
+  void commit_wave(Batch& batch, Wave& wave, bool clean);
 
   ServiceOptions options_;
   /// One persistent workspace per WORLD rank — the cross-request, cross-
   /// launch scratch the grids adopt. Indexed by world rank so a rank keeps
   /// its warmed capacities even as lane geometry changes between waves.
   std::vector<dist::DistWorkspace> workspaces_;
-  std::unordered_map<PatternFingerprint, CacheEntry, PatternFingerprintHash>
-      cache_;
-  /// Logical clock behind last_use_tick: bumped on every insert and hit.
-  std::uint64_t tick_ = 0;
+  OrderingCache cache_;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t repair_hits_ = 0;

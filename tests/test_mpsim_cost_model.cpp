@@ -407,7 +407,6 @@ TEST(CrossingLedger, RepairHitIsPricedStrictlyBetweenHitAndCold) {
 
   service::ServiceOptions cold_options;
   cold_options.ranks = 4;
-  cold_options.enable_repair = false;
   service::ReorderingService cold(cold_options);
   const auto reference = cold.submit(delta_rq);
   ASSERT_EQ(reference.status, service::RequestStatus::kOk);

@@ -10,8 +10,10 @@
 //  * a FaultPlan-killed request returns a structured kFault while every
 //    batch peer completes bit-identically to a fault-free batch — and the
 //    victim leaves no cache entry;
-//  * more requests than lanes round-robin onto the available lanes
-//    (max_lanes = 1 serializes the whole batch through one lane);
+//  * more requests than ranks round-robin onto the available lanes
+//    (five requests on four ranks queue two on lane 0, in one launch);
+//  * a fault on every relaunch exhausts the relaunch budget: the killed
+//    requests and the ones never reached all return kFault;
 //  * duplicate patterns inside one batch COALESCE: the first occurrence
 //    computes the ordering exactly once, twins wait a wave and are served
 //    from the freshly inserted entry;
@@ -22,6 +24,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -192,11 +195,12 @@ TEST(ServiceBatch, MoreRequestsThanRanksRoundRobinOntoLanes) {
   // Three requests on four ranks: three 1x1 lanes (one rank idles), each
   // request a single-rank pipeline — results must equal run_ordered_solve
   // at p = 1 exactly.
-  BatchFixture fixture(3);
+  BatchFixture fixture(5);
+  const std::span<const OrderSolveRequest> three(fixture.requests.data(), 3);
   ServiceOptions options;
   options.ranks = 4;
   ReorderingService service(options);
-  const auto responses = service.submit_batch(fixture.requests);
+  const auto responses = service.submit_batch(three);
   ASSERT_EQ(responses.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     ASSERT_EQ(responses[i].status, RequestStatus::kOk);
@@ -206,22 +210,60 @@ TEST(ServiceBatch, MoreRequestsThanRanksRoundRobinOntoLanes) {
     expect_bitwise_equal(responses[i].x, want.result.x);
   }
 
-  // max_lanes = 1: the same batch serializes through ONE full 2x2 lane
-  // (round-robin queue of three on lane 0), equal to p = 4 references.
-  ServiceOptions serial;
-  serial.ranks = 4;
-  serial.max_lanes = 1;
-  ReorderingService one_lane(serial);
-  const auto queued = one_lane.submit_batch(fixture.requests);
-  EXPECT_EQ(one_lane.launches(), 1);
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(queued[i].status, RequestStatus::kOk);
-    EXPECT_EQ(queued[i].lane, 0);
-    EXPECT_EQ(queued[i].lane_ranks, 4);
-    const auto want = rcm::run_ordered_solve(4, fixture.matrices[i],
+  // Five requests on four ranks: four 1x1 lanes in ONE launch, and the
+  // round-robin deal queues requests 0 and 4 on lane 0.
+  ReorderingService queued_service(options);
+  const auto queued = queued_service.submit_batch(fixture.requests);
+  ASSERT_EQ(queued.size(), 5u);
+  EXPECT_EQ(queued_service.launches(), 1);
+  for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(queued[i].status, RequestStatus::kOk) << "request " << i;
+    EXPECT_EQ(queued[i].lane, static_cast<int>(i % 4)) << "request " << i;
+    EXPECT_EQ(queued[i].lane_ranks, 1);
+    const auto want = rcm::run_ordered_solve(1, fixture.matrices[i],
                                              fixture.rhs[i]);
     expect_bitwise_equal(queued[i].x, want.result.x);
   }
+}
+
+TEST(ServiceBatch, RelaunchBudgetExhaustionFailsTheUnfinishedRequests) {
+  // One rank, so the five requests queue on one lane in order. Rank 0
+  // dies at four consecutive collective ordinals (counted per launch,
+  // all past the lane split and inside the first queued request): each
+  // launch kills the request at the head of the queue, and the fourth
+  // failure exceeds the relaunch budget, so the request never reached is
+  // failed outright.
+  BatchFixture fixture(5);
+  mps::FaultPlan plan;
+  constexpr std::uint64_t kFirst = 10;
+  for (int k = 0; k <= kMaxRelaunches; ++k) plan.die_at(0, kFirst + k);
+
+  ServiceOptions options;
+  options.ranks = 1;
+  options.faults = &plan;
+  options.watchdog_seconds = 20.0;
+  ReorderingService service(options);
+  const auto responses = service.submit_batch(fixture.requests);
+  ASSERT_EQ(responses.size(), 5u);
+  EXPECT_EQ(service.launches(), 1 + kMaxRelaunches);
+
+  for (std::size_t i = 0; i <= static_cast<std::size_t>(kMaxRelaunches); ++i) {
+    EXPECT_EQ(responses[i].status, RequestStatus::kFault) << "request " << i;
+    EXPECT_EQ(responses[i].error,
+              "injected rank-death on rank 0 at collective " +
+                  std::to_string(kFirst + i))
+        << "request " << i;
+    EXPECT_TRUE(responses[i].x.empty());
+  }
+  EXPECT_EQ(responses[4].status, RequestStatus::kFault);
+  EXPECT_EQ(responses[4].error.rfind("relaunch budget exhausted: ", 0), 0u)
+      << responses[4].error;
+  EXPECT_TRUE(responses[4].x.empty());
+
+  // No faulted request leaves a cache entry behind.
+  EXPECT_EQ(service.cache_size(), 0u);
+  EXPECT_EQ(service.cache_misses(), 0u);
+  EXPECT_EQ(service.cache_hits(), 0u);
 }
 
 TEST(ServiceBatch, DuplicatePatternsInOneBatchComputeOnceAndCoalesce) {
@@ -268,22 +310,24 @@ TEST(ServiceBatch, WaveEndInsertNeverEvictsAnEntryTheBatchWasServedFrom) {
   // capacity rather than invalidate what a twin just read.
   const auto a = gen::with_laplacian_values(
       gen::relabel_random(gen::grid2d(11, 12), 1), 0.02);
+  // A different n, so C can never repair from A (candidacy needs equal
+  // n): the test sees the eviction policy alone.
   const auto c = gen::with_laplacian_values(
-      gen::relabel_random(gen::grid2d(11, 12), 2), 0.02);
-  const auto b = wavy_rhs(a.n());
+      gen::relabel_random(gen::grid2d(11, 13), 2), 0.02);
+  const auto b_a = wavy_rhs(a.n());
+  const auto b_c = wavy_rhs(c.n());
 
   ServiceOptions options;
   options.ranks = 16;
   options.cache_capacity = 1;
-  options.enable_repair = false;  // isolate the eviction policy
   ReorderingService service(options);
 
   OrderSolveRequest ra;
   ra.matrix = &a;
-  ra.b = b;
+  ra.b = b_a;
   OrderSolveRequest rc;
   rc.matrix = &c;
-  rc.b = b;
+  rc.b = b_c;
 
   EXPECT_FALSE(service.submit(ra).cache_hit);
   ASSERT_EQ(service.cache_size(), 1u);

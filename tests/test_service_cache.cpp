@@ -274,15 +274,17 @@ TEST(ServiceCache, CostRecencyEvictionKeepsTheExpensiveEntry) {
       gen::relabel_random(gen::grid2d(48, 48), 1), 0.02);
   const auto s1 = gen::with_laplacian_values(
       gen::relabel_random(gen::grid2d(6, 6), 2), 0.02);
+  // Every n differs, so no pattern can repair from another (candidacy
+  // needs equal n): the test sees the eviction policy alone.
   const auto s2 = gen::with_laplacian_values(
-      gen::relabel_random(gen::grid2d(6, 6), 3), 0.02);
+      gen::relabel_random(gen::grid2d(6, 7), 3), 0.02);
   const auto b_big = wavy_rhs(big.n());
   const auto b_small = wavy_rhs(s1.n());
+  const auto b_s2 = wavy_rhs(s2.n());
 
   ServiceOptions options;
   options.ranks = 4;
   options.cache_capacity = 2;
-  options.enable_repair = false;  // isolate the eviction policy
   ReorderingService service(options);
 
   OrderSolveRequest rbig, rs1, rs2;
@@ -291,7 +293,7 @@ TEST(ServiceCache, CostRecencyEvictionKeepsTheExpensiveEntry) {
   rs1.matrix = &s1;
   rs1.b = b_small;
   rs2.matrix = &s2;
-  rs2.b = b_small;
+  rs2.b = b_s2;
 
   EXPECT_FALSE(service.submit(rbig).cache_hit);
   EXPECT_FALSE(service.submit(rs1).cache_hit);

@@ -15,7 +15,8 @@
 // anchors the pricing contract — repair-hit ordering crossings strictly
 // between a cache hit's zero and a cold run's — and the fault case: a
 // repair killed mid-flight falls back to a cold relaunch, completes OK,
-// and never poisons the cache.
+// and never poisons the cache. The same fixture pins the window cap: a
+// delta dirtying more than kRepairMaxWindows row windows runs cold.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -126,7 +127,6 @@ TEST(ServiceRepair, EquivalenceWallAcrossDeltasGraphsAndRanks) {
           // from scratch on the identical lane geometry.
           ServiceOptions cold_options;
           cold_options.ranks = p;
-          cold_options.enable_repair = false;
           ReorderingService cold(cold_options);
           const auto reference = cold.submit(delta_rq);
           ASSERT_EQ(reference.status, RequestStatus::kOk);
@@ -193,7 +193,6 @@ TEST(ServiceRepair, TwoComponentDeltaDeterministicallyRepairs) {
 
     ServiceOptions cold_options;
     cold_options.ranks = p;
-    cold_options.enable_repair = false;
     ReorderingService cold(cold_options);
     const auto reference = cold.submit(delta_rq);
     ASSERT_EQ(reference.status, RequestStatus::kOk);
@@ -201,6 +200,82 @@ TEST(ServiceRepair, TwoComponentDeltaDeterministicallyRepairs) {
     expect_bitwise_equal(repaired.x, reference.x);
     EXPECT_GT(repaired.ordering_crossings, 0u);
     EXPECT_LT(repaired.ordering_crossings, reference.ordering_crossings);
+  }
+}
+
+/// Refined-fingerprint row windows in which two patterns differ.
+int differing_windows(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b) {
+  const auto fa = fingerprint_pattern_serial(a);
+  const auto fb = fingerprint_pattern_serial(b);
+  int diff = 0;
+  for (int w = 0; w < kFingerprintWindows; ++w) {
+    diff += fa.windows[static_cast<std::size_t>(w)] !=
+            fb.windows[static_cast<std::size_t>(w)];
+  }
+  return diff;
+}
+
+TEST(ServiceRepair, DeltasWiderThanTheWindowCapRunCold) {
+  SplitFixture fixture;
+  const auto base = gen::with_laplacian_values(fixture.adjacency, 0.02);
+  const auto b = wavy_rhs(base.n());
+  // Both deltas add edges inside the BIG component only, so the small one
+  // is always reusable and any scheduled plan is profitable. The narrow
+  // one spans rows [50, 250) = windows 2..9, exactly the cap; the wide one
+  // spans the whole big component, windows 0..13.
+  const auto narrow = gen::with_laplacian_values(
+      sparse::apply_pattern_delta(
+          fixture.adjacency,
+          sparse::random_pattern_delta(fixture.adjacency, 24, 0, 7, 50, 250)),
+      0.02);
+  const auto wide = gen::with_laplacian_values(
+      sparse::apply_pattern_delta(
+          fixture.adjacency,
+          sparse::random_pattern_delta(fixture.adjacency, 40, 0, 7, 0,
+                                       fixture.small_lo)),
+      0.02);
+  ASSERT_EQ(differing_windows(base, narrow), kRepairMaxWindows);
+  ASSERT_GT(differing_windows(base, wide), kRepairMaxWindows);
+
+  for (const int p : dist::testing::rank_counts()) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    ServiceOptions options;
+    options.ranks = p;
+    options.verify_repair = true;
+
+    OrderSolveRequest seed_rq;
+    seed_rq.matrix = &base;
+    seed_rq.b = b;
+    OrderSolveRequest narrow_rq;
+    narrow_rq.matrix = &narrow;
+    narrow_rq.b = b;
+    OrderSolveRequest wide_rq;
+    wide_rq.matrix = &wide;
+    wide_rq.b = b;
+
+    // At the cap: the near-miss schedules a repair.
+    ReorderingService service(options);
+    ASSERT_EQ(service.submit(seed_rq).status, RequestStatus::kOk);
+    const auto repaired = service.submit(narrow_rq);
+    ASSERT_EQ(repaired.status, RequestStatus::kOk);
+    EXPECT_EQ(repaired.changed_windows, kRepairMaxWindows);
+
+    // Past the cap: no candidate, so the request runs exactly as cold as
+    // on a fresh service.
+    ReorderingService warm(options);
+    ASSERT_EQ(warm.submit(seed_rq).status, RequestStatus::kOk);
+    const auto capped = warm.submit(wide_rq);
+    ASSERT_EQ(capped.status, RequestStatus::kOk);
+    EXPECT_EQ(capped.changed_windows, 0);
+    EXPECT_FALSE(capped.repair_hit);
+    EXPECT_FALSE(capped.cache_hit);
+
+    ReorderingService fresh(options);
+    const auto reference = fresh.submit(wide_rq);
+    ASSERT_EQ(reference.status, RequestStatus::kOk);
+    EXPECT_EQ(capped.ordering_crossings, reference.ordering_crossings);
+    EXPECT_EQ(capped.permuted_bandwidth, reference.permuted_bandwidth);
+    expect_bitwise_equal(capped.x, reference.x);
   }
 }
 
@@ -253,7 +328,6 @@ TEST(ServiceRepair, FaultDuringRepairFallsBackColdWithoutPoisoningTheCache) {
   // reference bit for bit.
   ServiceOptions cold_options;
   cold_options.ranks = 4;
-  cold_options.enable_repair = false;
   ReorderingService cold(cold_options);
   const auto reference = cold.submit(delta_rq);
   ASSERT_EQ(reference.status, RequestStatus::kOk);
