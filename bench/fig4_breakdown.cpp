@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   // Synchrony budget: the barrier-crossing ledger of one real p=4 run.
   // The fused level kernel (dist::bfs_level_step) spends 3 crossings per
   // BFS level; the unfused primitive chain (SET -> SpMSpV's three
-  // collectives -> SELECT -> emptiness AllReduce) spends 8. Measured, not
+  // collectives -> SELECT -> emptiness AllReduce) spends 4. Measured, not
   // asserted: the phases isolate each path's ledger.
   {
     std::uint64_t fused_one = 0, unfused_one = 0;
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   // The ordering-level split: one WHOLE Cuthill-McKee ordering level (BFS
   // level + SORTPERM + label scatter) through the fused dist::cm_level_step
   // vs the reference chain, on identical inputs. Fused: 3 SpMSpV-side + 2
-  // sort-side crossings. Unfused: 3 + the standalone SORTPERM's 6 (parked
+  // sort-side crossings. Unfused: 3 + the standalone SORTPERM's 3 (parked
   // on the kSolver phase below).
   {
     const auto a = small[0].pattern;
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   }
   std::printf("shape check: Ord:Sort share rises with cores; "
               "low-diameter matrices keep scaling past 1K cores; fused "
-              "level kernel holds at <=3 crossings/level vs ~8 unfused, "
-              "and a whole fused ordering level at <=5 vs 9.\n");
+              "level kernel holds at <=3 crossings/level vs 4 unfused, "
+              "and a whole fused ordering level at <=5 vs 6.\n");
   return 0;
 }

@@ -11,9 +11,8 @@ namespace drcm::dist {
 namespace {
 
 /// SET fused into publish-buffer construction: the outgoing frontier
-/// carries dense[idx] as its value (the parent's level/label). The buffer
-/// stays untouched through the whole collective — peers read it until the
-/// second crossing. Shared by the BFS and ordering level kernels.
+/// carries dense[idx] as its value (the parent's level/label). Shared by
+/// the BFS and ordering level kernels.
 std::vector<VecEntry>& publish_set(const DistSpVec& frontier,
                                    const DistDenseVec& dense,
                                    mps::Comm& world, mps::Phase other_phase,

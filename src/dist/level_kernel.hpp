@@ -5,12 +5,12 @@
 //
 // The unfused chain (gather_from_dense + spmspv_select2nd_min +
 // select_where_equals + global_nnz) enters four collectives per level —
-// eight barrier crossings, each a full latency term at scale. Fusing
+// four barrier crossings, each a full latency term at scale. Fusing
 // changes two things:
 //
 //   * the per-level chain runs through Comm::fused_gather_route_count,
 //     whose three BSP supersteps share crossings: 3 crossings per level
-//     instead of 8;
+//     instead of 4;
 //   * stage-3 partials are routed DIRECTLY to the owner of each output
 //     element (the paper's sub-chunk owner), which subsumes the row-merge
 //     alltoallv + transpose pairwise exchange of the unfused kernel and
@@ -57,7 +57,7 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
 
 /// The reference chain: the same level computed with the four unfused
 /// primitives (gather_from_dense, spmspv_select2nd_min,
-/// select_where_equals, global_nnz) — eight barrier crossings. Kept
+/// select_where_equals, global_nnz) — four barrier crossings. Kept
 /// callable so the equivalence suite and the crossing-count benches can
 /// compare against the fused path on identical inputs.
 LevelStepResult bfs_level_step_unfused(
@@ -83,12 +83,12 @@ struct CmLevelResult {
 ///   Lnext <- SELECT(SPMSPV(A, SET(Lcur, R)), R = kNoVertex)   [3 crossings]
 ///   R     <- SET(R, SORTPERM(Lnext, D) + next_label)          [+2 crossings]
 ///
-/// The SORTPERM bucket histogram rides the count superstep's freed frontier
-/// board, the element deal reuses the freed partial-routing board, and the
-/// position scatter rides the auxiliary payload board — so the whole
-/// ordering level needs no collective beyond the level kernel's own. The
-/// unfused reference (cm_level_step_unfused below) pays 3 + SORTPERM's 6 =
-/// 9 crossings for the identical result; both paths are bit-identical by
+/// The SORTPERM bucket histogram rides the count superstep, and the element
+/// deal and the position scatter are two more supersteps of the same
+/// collective — so the whole ordering level needs no collective beyond the
+/// level kernel's own. The unfused reference (cm_level_step_unfused below)
+/// pays 3 + SORTPERM's 3 = 6 crossings for the identical result; both
+/// paths are bit-identical by
 /// construction, enforced by tests/test_dist_cm_level_equivalence.cpp.
 ///
 /// `labels` must hold the parent labels of `frontier`'s entries inside
@@ -110,7 +110,7 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
 
 /// The reference ordering level: the fused BFS level step followed by the
 /// standalone SORTPERM chain (sortperm_bucket or, when `sample_sort`, the
-/// sample-sort baseline) and the label scatter — 3 + 6 = 9 barrier
+/// sample-sort baseline) and the label scatter — 3 + 3 = 6 barrier
 /// crossings. Kept callable for the equivalence suite, the crossing-ledger
 /// tests and the fig4 bench.
 CmLevelResult cm_level_step_unfused(

@@ -9,7 +9,7 @@
 //      hand the merged sub-chunk to its true owner via the transpose
 //      pairwise exchange.
 //
-// This is the unfused kernel: three collectives (six barrier crossings)
+// This is the unfused kernel: three collectives (three barrier crossings)
 // per call, plus the caller's SET / SELECT / emptiness round trips. The
 // fused per-level path (dist/level_kernel.hpp) performs the same math in
 // one three-crossing collective and is what the BFS loops actually run;

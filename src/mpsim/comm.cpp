@@ -1,6 +1,7 @@
 #include "mpsim/comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -8,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "mpsim/fault.hpp"
 #include "mpsim/internal.hpp"
@@ -114,10 +116,9 @@ void BarrierRegistry::poison_all() {
 }
 
 // ---------------------------------------------------------------------------
-// Collective tags: every collective entry publishes (op, phase, per-rank
-// sequence number) packed into one word. Multi-crossing collectives compare
-// all peers' tags between their first and second crossings; see
-// Comm::verify_collective for why that window is race-free.
+// Collective tags: every collective entry fixes (op, phase, per-rank
+// sequence number) packed into one word, and every crossing publishes and
+// checks it; see Comm::cross_barrier for why that check is race-free.
 
 const char* coll_op_name(CollOp op) {
   switch (op) {
@@ -160,153 +161,125 @@ std::string describe_collective_tag(std::uint64_t tag) {
 
 class CommContext {
  public:
+  /// One rank's slot on a publication board (guarded by barrier crossings,
+  /// not by a mutex). Payloads are COPIED into slot-owned arenas at publish
+  /// time, so a peer reading a slot never dereferences memory owned by the
+  /// publishing rank's frames: a rank that unwinds (injected fault,
+  /// mismatch error, check failure) cannot leave dangling pointers behind
+  /// for ranks still inside a collective. The arenas keep their capacity
+  /// across calls, so steady-state publication allocates nothing.
+  struct alignas(64) Slot {
+    /// Collective tag. Atomic so a genuinely mismatched program (ranks
+    /// racing on the board) stays defined behavior and still yields a
+    /// deterministic mismatch report.
+    std::atomic<std::uint64_t> tag{0};
+    std::int64_t word = 0;
+    std::vector<std::byte> span;
+    std::uint64_t span_count = 0;
+    std::vector<std::byte> table;  // per-destination payloads, flattened
+    std::vector<const void*> table_ptrs;
+    std::vector<std::uint64_t> table_counts;
+  };
+
   CommContext(int size, std::shared_ptr<BarrierRegistry> registry)
       : size_(size),
         registry_(std::move(registry)),
         barrier_(std::make_shared<PoisonableBarrier>(size, registry_.get())),
-        ptr_(static_cast<std::size_t>(size), nullptr),
-        cnt_(static_cast<std::size_t>(size), 0),
-        ptr_arr_(static_cast<std::size_t>(size), nullptr),
-        cnt_arr_(static_cast<std::size_t>(size), nullptr),
-        ptr_arr_aux_(static_cast<std::size_t>(size), nullptr),
-        cnt_arr_aux_(static_cast<std::size_t>(size), nullptr),
-        scalar_arena_(static_cast<std::size_t>(size)),
-        array_arena_(static_cast<std::size_t>(size)),
-        array_arena_aux_(static_cast<std::size_t>(size)),
-        array_ptrs_(static_cast<std::size_t>(size)),
-        array_cnts_(static_cast<std::size_t>(size)),
-        array_ptrs_aux_(static_cast<std::size_t>(size)),
-        array_cnts_aux_(static_cast<std::size_t>(size)),
-        i64_(static_cast<std::size_t>(size), 0),
-        split_color_(static_cast<std::size_t>(size), 0),
-        split_key_(static_cast<std::size_t>(size), 0),
+        boards_{std::vector<Slot>(static_cast<std::size_t>(size)),
+                std::vector<Slot>(static_cast<std::size_t>(size))},
+        cursors_(static_cast<std::size_t>(size)),
         split_ctx_(static_cast<std::size_t>(size)),
-        split_rank_(static_cast<std::size_t>(size), 0),
-        tags_(static_cast<std::size_t>(size)),
-        tag_seq_(static_cast<std::size_t>(size), 0) {
-    for (auto& t : tags_) t.store(0, std::memory_order_relaxed);
+        split_rank_(static_cast<std::size_t>(size), 0) {
     if (registry_) registry_->register_barrier(barrier_);
   }
 
   int size() const { return size_; }
-  void cross() { barrier_->arrive_and_wait(); }
   const std::shared_ptr<BarrierRegistry>& registry() const { return registry_; }
 
-  // Publication board (guarded by barrier crossings, not by a mutex).
-  // Payloads are COPIED into context-owned arenas at publish time, so a
-  // peer reading a slot never dereferences memory owned by the publishing
-  // rank's frames: a rank that unwinds (injected fault, mismatch error,
-  // check failure) cannot leave dangling pointers behind for ranks still
-  // inside a collective. The arenas keep their capacity across calls, so
-  // steady-state publication allocates nothing.
-  void publish_scalar(int rank, const void* data, std::uint64_t count,
-                      std::size_t elem_bytes) {
+  /// Starts `rank`'s next collective: fixes the tag its crossings publish.
+  void begin(int rank, CollOp op, Phase phase) {
+    Cursor& c = cursors_[static_cast<std::size_t>(rank)];
+    c.tag = pack_collective_tag(op, phase, ++c.seq);
+  }
+  /// Crossing number `crossings` of `rank`: publish the tag on the parity
+  /// board, arrive, count the crossing.
+  void cross(int rank) {
+    Cursor& c = cursors_[static_cast<std::size_t>(rank)];
+    outgoing(rank).tag.store(c.tag, std::memory_order_relaxed);
+    barrier_->arrive_and_wait();
+    ++c.crossings;
+  }
+  std::uint64_t current_tag(int rank) const {
+    return cursors_[static_cast<std::size_t>(rank)].tag;
+  }
+
+  /// `rank`'s slot on the board its next crossing publishes.
+  Slot& outgoing(int rank) {
     const auto r = static_cast<std::size_t>(rank);
-    auto& arena = scalar_arena_[r];
+    return boards_[cursors_[r].crossings & 1][r];
+  }
+  /// Peer `r`'s slot on the board of `rank`'s last crossing. Every member
+  /// has made the same number of crossings whenever it reads (each
+  /// crossing is one barrier generation), so parity agrees across ranks.
+  const Slot& incoming(int rank, int r) const {
+    const auto me = static_cast<std::size_t>(rank);
+    return boards_[(cursors_[me].crossings - 1) & 1][static_cast<std::size_t>(r)];
+  }
+
+  void publish_span(int rank, const void* data, std::uint64_t count,
+                    std::size_t elem_bytes) {
+    Slot& slot = outgoing(rank);
     const std::size_t bytes = static_cast<std::size_t>(count) * elem_bytes;
-    arena.resize(bytes);
-    if (bytes != 0) std::memcpy(arena.data(), data, bytes);
-    ptr_[r] = arena.data();
-    cnt_[r] = count;
-  }
-  void publish_array_board(int rank, const void* const* ptrs,
-                           const std::uint64_t* counts,
-                           std::size_t elem_bytes) {
-    copy_array_payload(rank, ptrs, counts, elem_bytes, array_arena_,
-                       array_ptrs_, array_cnts_);
-    const auto r = static_cast<std::size_t>(rank);
-    ptr_arr_[r] = array_ptrs_[r].data();
-    cnt_arr_[r] = array_cnts_[r].data();
-  }
-  void publish_array_board_aux(int rank, const void* const* ptrs,
-                               const std::uint64_t* counts,
-                               std::size_t elem_bytes) {
-    copy_array_payload(rank, ptrs, counts, elem_bytes, array_arena_aux_,
-                       array_ptrs_aux_, array_cnts_aux_);
-    const auto r = static_cast<std::size_t>(rank);
-    ptr_arr_aux_[r] = array_ptrs_aux_[r].data();
-    cnt_arr_aux_[r] = array_cnts_aux_[r].data();
-  }
-  std::vector<const void*>& ptr() { return ptr_; }
-  std::vector<std::uint64_t>& cnt() { return cnt_; }
-  std::vector<const void* const*>& ptr_arr() { return ptr_arr_; }
-  std::vector<const std::uint64_t*>& cnt_arr() { return cnt_arr_; }
-  std::vector<const void* const*>& ptr_arr_aux() { return ptr_arr_aux_; }
-  std::vector<const std::uint64_t*>& cnt_arr_aux() { return cnt_arr_aux_; }
-  std::vector<std::int64_t>& i64() { return i64_; }
-  std::vector<int>& split_color() { return split_color_; }
-  std::vector<int>& split_key() { return split_key_; }
-  std::vector<std::shared_ptr<CommContext>>& split_ctx() { return split_ctx_; }
-  std::vector<int>& split_rank() { return split_rank_; }
-
-  // Collective-tag board. Tags are atomics so a genuinely mismatched program
-  // (two ranks in different collectives racing on the board) stays defined
-  // behavior and still yields a deterministic mismatch report.
-  void publish_tag(int rank, CollOp op, Phase phase) {
-    auto& seq = tag_seq_[static_cast<std::size_t>(rank)];
-    ++seq;
-    tags_[static_cast<std::size_t>(rank)].store(
-        pack_collective_tag(op, phase, seq), std::memory_order_relaxed);
-  }
-  std::uint64_t tag(int rank) const {
-    return tags_[static_cast<std::size_t>(rank)].load(
-        std::memory_order_relaxed);
+    slot.span.resize(bytes);
+    if (bytes != 0) std::memcpy(slot.span.data(), data, bytes);
+    slot.span_count = count;
   }
 
- private:
-  // One rank's per-destination buffers land flattened in its arena; the
-  // published pointer/count tables are rebuilt into context-owned storage
-  // pointing at the arena copies.
-  void copy_array_payload(int rank, const void* const* ptrs,
-                          const std::uint64_t* counts, std::size_t elem_bytes,
-                          std::vector<std::vector<std::byte>>& arenas,
-                          std::vector<std::vector<const void*>>& ptr_store,
-                          std::vector<std::vector<std::uint64_t>>& cnt_store) {
-    const auto r = static_cast<std::size_t>(rank);
+  // One rank's per-destination buffers land flattened in its table arena;
+  // the published pointer/count tables point at the arena copies.
+  void publish_table(int rank, const void* const* ptrs,
+                     const std::uint64_t* counts, std::size_t elem_bytes) {
+    Slot& slot = outgoing(rank);
     const auto n = static_cast<std::size_t>(size_);
-    auto& arena = arenas[r];
-    auto& out_ptrs = ptr_store[r];
-    auto& out_cnts = cnt_store[r];
     std::size_t total_bytes = 0;
     for (std::size_t d = 0; d < n; ++d) {
       total_bytes += static_cast<std::size_t>(counts[d]) * elem_bytes;
     }
-    arena.resize(total_bytes);
-    out_ptrs.resize(n);
-    out_cnts.resize(n);
+    slot.table.resize(total_bytes);
+    slot.table_ptrs.resize(n);
+    slot.table_counts.assign(counts, counts + n);
     std::size_t offset = 0;
     for (std::size_t d = 0; d < n; ++d) {
       const std::size_t bytes = static_cast<std::size_t>(counts[d]) * elem_bytes;
-      if (bytes != 0) std::memcpy(arena.data() + offset, ptrs[d], bytes);
-      out_ptrs[d] = arena.data() + offset;
-      out_cnts[d] = counts[d];
+      if (bytes != 0) std::memcpy(slot.table.data() + offset, ptrs[d], bytes);
+      slot.table_ptrs[d] = slot.table.data() + offset;
       offset += bytes;
     }
   }
 
+  // Comm::split's result table: written by member 0 between the split's
+  // two crossings, read by each member after the second. The next write
+  // comes after the next split's first crossing, which no member reaches
+  // before every member has read.
+  std::vector<std::shared_ptr<CommContext>>& split_ctx() { return split_ctx_; }
+  std::vector<int>& split_rank() { return split_rank_; }
+
+ private:
+  /// Per-rank progress on this communicator, owner-written only. Kept in
+  /// the context rather than in Comm because Comm can be copied.
+  struct alignas(64) Cursor {
+    std::uint64_t crossings = 0;  ///< barrier crossings so far
+    std::uint64_t seq = 0;        ///< collectives entered so far
+    std::uint64_t tag = 0;        ///< tag of the collective in progress
+  };
+
   const int size_;
   std::shared_ptr<BarrierRegistry> registry_;
   std::shared_ptr<PoisonableBarrier> barrier_;
-  std::vector<const void*> ptr_;
-  std::vector<std::uint64_t> cnt_;
-  std::vector<const void* const*> ptr_arr_;
-  std::vector<const std::uint64_t*> cnt_arr_;
-  std::vector<const void* const*> ptr_arr_aux_;
-  std::vector<const std::uint64_t*> cnt_arr_aux_;
-  std::vector<std::vector<std::byte>> scalar_arena_;
-  std::vector<std::vector<std::byte>> array_arena_;
-  std::vector<std::vector<std::byte>> array_arena_aux_;
-  std::vector<std::vector<const void*>> array_ptrs_;
-  std::vector<std::vector<std::uint64_t>> array_cnts_;
-  std::vector<std::vector<const void*>> array_ptrs_aux_;
-  std::vector<std::vector<std::uint64_t>> array_cnts_aux_;
-  std::vector<std::int64_t> i64_;
-  std::vector<int> split_color_;
-  std::vector<int> split_key_;
+  std::array<std::vector<Slot>, 2> boards_;
+  std::vector<Cursor> cursors_;
   std::vector<std::shared_ptr<CommContext>> split_ctx_;
   std::vector<int> split_rank_;
-  std::vector<std::atomic<std::uint64_t>> tags_;
-  std::vector<std::uint64_t> tag_seq_;  // owner-written only
 };
 
 std::shared_ptr<CommContext> make_comm_context(
@@ -338,9 +311,6 @@ Comm::Comm(std::shared_ptr<CommContext> ctx, int rank, RankState* state,
 }
 
 void Comm::barrier() {
-  // A plain barrier publishes its tag but cannot verify peers: with a single
-  // crossing there is no window in which every peer is guaranteed to have
-  // published. Multi-crossing collectives do the verification.
   enter_collective(CollOp::kBarrier);
   cross_barrier();
   charge(model_->barrier(size_));
@@ -349,6 +319,7 @@ void Comm::barrier() {
 void Comm::enter_collective(CollOp op) {
   RankState& st = *state_;
   const std::uint64_t ordinal = ++st.collectives_entered;
+  st.stats.add_collective(st.phase);
   st.last_entered.store(pack_collective_tag(op, st.phase, ordinal),
                         std::memory_order_relaxed);
   if (st.faults != nullptr) {
@@ -368,25 +339,26 @@ void Comm::enter_collective(CollOp op) {
       }
     }
   }
-  ctx_->publish_tag(rank_, op, st.phase);
+  ctx_->begin(rank_, op, st.phase);
 }
 
-void Comm::verify_collective(CollOp op) {
-  // Runs after every NON-FINAL crossing of a collective, before any board
-  // read that crossing opens. In a correct program those windows are
-  // race-free: no peer can be past its own first crossing of a LATER
-  // collective (it would need this rank to arrive at a crossing it has not
-  // reached), and every peer has published its tag for THIS one before
-  // arriving. So any tag disagreement means the program's collective
-  // sequences genuinely diverged across ranks — and because the check runs
-  // before the reads, a diverged peer's boards are never consumed. (After a
-  // FINAL crossing the check would race with fast peers legally entering
-  // the next collective, so final-crossing read windows rely on the
-  // preceding verified crossing plus the board-ownership discipline.)
-  (void)op;
-  const std::uint64_t mine = ctx_->tag(rank_);
+void Comm::cross_barrier() {
+  state_->stats.add_crossing(state_->phase);
+  ctx_->cross(rank_);
+  if (state_->faults != nullptr &&
+      state_->faults->delays_reads(state_->world_rank)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  // The check is race-free in a correct program: every peer stored its tag
+  // on this crossing's board before arriving, and none can store on that
+  // board again before crossing c + 1, which needs this rank to arrive
+  // there first. So any disagreement means the ranks' collective sequences
+  // genuinely diverged — at any crossing, final ones and plain barriers
+  // included.
+  const std::uint64_t mine = ctx_->current_tag(rank_);
   for (int r = 0; r < size_; ++r) {
-    const std::uint64_t theirs = ctx_->tag(r);
+    const std::uint64_t theirs =
+        ctx_->incoming(rank_, r).tag.load(std::memory_order_relaxed);
     if (theirs != mine) {
       throw CollectiveMismatchError(
           "collective mismatch on a " + std::to_string(size_) +
@@ -418,56 +390,33 @@ void Comm::charge_stall(double modeled_seconds) {
 
 void Comm::publish(const void* ptr, std::uint64_t count,
                    std::size_t elem_bytes) {
-  ctx_->publish_scalar(rank_, ptr, count, elem_bytes);
-}
-
-const void* Comm::peer_ptr(int r) const {
-  return ctx_->ptr()[static_cast<std::size_t>(r)];
-}
-
-std::uint64_t Comm::peer_count(int r) const {
-  return ctx_->cnt()[static_cast<std::size_t>(r)];
+  ctx_->publish_span(rank_, ptr, count, elem_bytes);
 }
 
 void Comm::publish_arrays(const void* const* ptrs, const std::uint64_t* counts,
                           std::size_t elem_bytes) {
-  ctx_->publish_array_board(rank_, ptrs, counts, elem_bytes);
+  ctx_->publish_table(rank_, ptrs, counts, elem_bytes);
 }
 
-const void* const* Comm::peer_ptr_array(int r) const {
-  return ctx_->ptr_arr()[static_cast<std::size_t>(r)];
+void Comm::publish_word(std::int64_t v) { ctx_->outgoing(rank_).word = v; }
+
+const void* Comm::peer_ptr(int r) const {
+  return ctx_->incoming(rank_, r).span.data();
 }
 
-const std::uint64_t* Comm::peer_count_array(int r) const {
-  return ctx_->cnt_arr()[static_cast<std::size_t>(r)];
+std::uint64_t Comm::peer_count(int r) const {
+  return ctx_->incoming(rank_, r).span_count;
 }
 
-void Comm::publish_arrays_aux(const void* const* ptrs,
-                              const std::uint64_t* counts,
-                              std::size_t elem_bytes) {
-  ctx_->publish_array_board_aux(rank_, ptrs, counts, elem_bytes);
+const void* Comm::peer_ptr_array(int r, int dest) const {
+  return ctx_->incoming(rank_, r).table_ptrs[static_cast<std::size_t>(dest)];
 }
 
-const void* const* Comm::peer_ptr_array_aux(int r) const {
-  return ctx_->ptr_arr_aux()[static_cast<std::size_t>(r)];
+std::uint64_t Comm::peer_count_array(int r, int dest) const {
+  return ctx_->incoming(rank_, r).table_counts[static_cast<std::size_t>(dest)];
 }
 
-const std::uint64_t* Comm::peer_count_array_aux(int r) const {
-  return ctx_->cnt_arr_aux()[static_cast<std::size_t>(r)];
-}
-
-void Comm::cross_barrier() {
-  state_->stats.add_crossing(state_->phase);
-  ctx_->cross();
-}
-
-void Comm::publish_i64(std::int64_t v) {
-  ctx_->i64()[static_cast<std::size_t>(rank_)] = v;
-}
-
-std::int64_t Comm::peer_i64(int r) const {
-  return ctx_->i64()[static_cast<std::size_t>(r)];
-}
+std::int64_t Comm::peer_word(int r) const { return ctx_->incoming(rank_, r).word; }
 
 void Comm::charge(const CommCost& cost) {
   state_->stats.add_comm(state_->phase, cost);
@@ -476,21 +425,19 @@ void Comm::charge(const CommCost& cost) {
 Comm Comm::split(int color, int key) {
   DRCM_CHECK(color >= 0, "split color must be non-negative");
   enter_collective(CollOp::kSplit);
-  auto& colors = ctx_->split_color();
-  auto& keys = ctx_->split_key();
-  colors[static_cast<std::size_t>(rank_)] = color;
-  keys[static_cast<std::size_t>(rank_)] = key;
+  const int mine[2] = {color, key};
+  publish(mine, 2, sizeof(int));
   cross_barrier();
-  verify_collective(CollOp::kSplit);
   if (rank_ == 0) {
     // Group members by color; within a group rank by (key, old rank).
+    const auto member = [&](int r) {
+      return static_cast<const int*>(peer_ptr(r));
+    };
     std::map<int, std::vector<int>> groups;
-    for (int r = 0; r < size_; ++r) {
-      groups[colors[static_cast<std::size_t>(r)]].push_back(r);
-    }
+    for (int r = 0; r < size_; ++r) groups[member(r)[0]].push_back(r);
     for (auto& [c, members] : groups) {
       std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-        return keys[static_cast<std::size_t>(a)] < keys[static_cast<std::size_t>(b)];
+        return member(a)[1] < member(b)[1];
       });
       auto child = std::make_shared<CommContext>(
           static_cast<int>(members.size()), ctx_->registry());
@@ -503,10 +450,8 @@ Comm Comm::split(int color, int key) {
     }
   }
   cross_barrier();
-  verify_collective(CollOp::kSplit);  // crossing 2 of 3: lockstep re-check
   auto child_ctx = ctx_->split_ctx()[static_cast<std::size_t>(rank_)];
   const int child_rank = ctx_->split_rank()[static_cast<std::size_t>(rank_)];
-  cross_barrier();  // everyone picked up before the board can be reused
   charge(model_->allgatherv(size_, static_cast<std::uint64_t>(size_)));
   return Comm(std::move(child_ctx), child_rank, state_, model_);
 }

@@ -13,14 +13,19 @@
 //   realignment, performed by all ranks at once), and split (MPI_Comm_split:
 //   forms the row/column sub-communicators of the 2D grid).
 //
-// Mechanically, every collective is two crossings of the communicator's
-// barrier around a shared "publication board": ranks publish their
-// contribution (copied into board-owned storage, like an MPI send buffer),
-// cross the barrier, read what they need from peers, and cross again before
-// anyone may reuse the board. The barrier's mutex provides all required
-// happens-before ordering, and because the board owns every published
-// payload, a rank that unwinds mid-run (injected fault, failed check)
-// cannot leave peers reading freed memory.
+// Mechanically, a collective is a sequence of BSP supersteps on a pair of
+// "publication boards". A superstep publishes this rank's contribution on
+// board[c % 2] (copied into board-owned storage, like an MPI send buffer),
+// crosses the communicator's barrier for the c-th time, and reads what it
+// needs from peers' slots of the same board. A rank can write board[c % 2]
+// again only before crossing c + 2, that is after every rank has arrived at
+// crossing c + 1 and so finished its reads from crossing c. That parity
+// rule replaces the trailing "everyone has read" crossing: every plain
+// collective is ONE crossing, split two, and the fused level kernels one
+// per superstep. The barrier's mutex provides all required happens-before
+// ordering, and because the boards own every published payload, a rank
+// that unwinds mid-run (injected fault, failed check) cannot leave peers
+// reading freed memory.
 //
 // Every operation is charged to the alpha-beta CostModel and attributed to
 // the rank's current Phase, which is how the paper's Figures 4-6 breakdowns
@@ -56,12 +61,12 @@ class PoisonedError : public std::runtime_error {
 /// Thrown when members of one communicator enter DIFFERENT collectives (or
 /// different counts of the same collective) — the classic silent-deadlock
 /// bug, surfaced as a structured error naming both call sites. Detection:
-/// every collective publishes an op-id/epoch tag on its communicator's tag
-/// board before its first barrier crossing, and every multi-crossing
-/// collective checks all peers' tags between its first and second crossing
-/// (where the barrier guarantees the tags are stable for a correct program;
-/// a racing incorrect program still detects, the message may just name
-/// whichever of the offender's collectives was last published).
+/// before every barrier crossing a rank publishes its collective's
+/// op-id/epoch tag on that crossing's parity tag board, and after every
+/// crossing it checks all peers' tags on the same board (stable there for a
+/// correct program; a racing incorrect program still detects, the message
+/// may just name whichever of the offender's collectives was last
+/// published).
 class CollectiveMismatchError : public std::logic_error {
  public:
   explicit CollectiveMismatchError(const std::string& what)
@@ -209,25 +214,26 @@ class Comm {
   /// (dist::bfs_level_step): a sub-group allgatherv, an alltoallv of what
   /// `route` makes of the gathered data, and an allreduce-sum of what
   /// `count` makes of the routed data — in THREE barrier crossings, where
-  /// the unfused chain of four collectives pays eight. The supersteps use
-  /// three distinct publication boards, so the read of one round and the
-  /// publish of the next share a single crossing (classic BSP):
+  /// the unfused chain of four collectives pays four. Each superstep reads
+  /// the board of its crossing and publishes the next one on the other
+  /// board, so the read of one round and the publish of the next share a
+  /// single crossing (classic BSP):
   ///
-  ///   publish my `local` span                         [scalar board]
+  ///   publish my `local` span
   ///   ---- crossing 1 ----
   ///   gather_buf <- concatenation of `gather_peers`' spans (given order);
-  ///   route(gather_buf, route_buf); publish route_buf  [array board]
+  ///   route(gather_buf, route_buf); publish route_buf
   ///   ---- crossing 2 ----
   ///   recv_buf <- what every rank routed to me (source-rank order);
-  ///   publish count(recv_buf)                          [int64 board]
+  ///   publish count(recv_buf)
   ///   ---- crossing 3 ----
   ///   return the sum of all ranks' counts.
   ///
   /// `route` must size route_buf to exactly size() buffers; both buffer
   /// arguments are caller-owned so steady-state loops reuse capacity.
   /// The callbacks run BETWEEN crossings: they may charge compute but must
-  /// not invoke any collective on any communicator, and `route` must not
-  /// mutate `local`'s backing store (peers are still reading it).
+  /// not invoke any collective on any communicator. Publishing copies, so
+  /// every published buffer may be reused as soon as it is published.
   /// Charged as its component collectives, with the alltoallv latency
   /// priced by the actual destination fan-out (the level kernel routes to
   /// at most sqrt(p) owners, not to all p ranks).
@@ -244,37 +250,31 @@ class Comm {
   /// payload on the count superstep and TWO further routed supersteps, so a
   /// whole Cuthill-McKee ordering level (SET + SpMSpV + SELECT + count +
   /// SORTPERM + label scatter) costs FIVE barrier crossings — where the
-  /// reference chain pays 3 (fused BFS level) + 6 (SORTPERM's three
-  /// collectives) = 9. Board schedule (each board is free one crossing
-  /// after its readers finish, classic BSP):
+  /// reference chain pays 3 (fused BFS level) + 3 (SORTPERM's three
+  /// collectives) = 6. Superstep schedule (boards alternate by crossing
+  /// parity, as everywhere):
   ///
-  ///   publish my `local` span                           [scalar board]
+  ///   publish my `local` span
   ///   ---- crossing 1 ----
-  ///   gather_buf <- gather_peers' spans; route(); publish [array board]
+  ///   gather_buf <- gather_peers' spans; route(); publish route_buf
   ///   ---- crossing 2 ----
   ///   recv_buf <- routed data; n = count_carry(recv_buf, carry_buf);
-  ///   publish n [int64 board] and carry_buf [scalar board, free again]
+  ///   publish n and carry_buf
   ///   ---- crossing 3 ----
   ///   total = sum of counts; if total == 0 RETURN (3 crossings: the
   ///   termination level skips the sort tail on every rank uniformly);
   ///   carry_all <- all ranks' carries (rank order);
-  ///   sort_route(total, carry_all, sort_route_buf); publish [array board]
+  ///   sort_route(total, carry_all, sort_route_buf); publish it
   ///   ---- crossing 4 ----
   ///   sort_recv_buf <- routed U data (+ per-source counts);
-  ///   rank_route(sort_recv_buf, counts, rank_route_buf); publish
-  ///                                             [auxiliary payload board]
+  ///   rank_route(sort_recv_buf, counts, rank_route_buf); publish it
   ///   ---- crossing 5 ----
   ///   rank_recv_buf <- routed positions; finish(rank_recv_buf); return.
   ///
   /// Callbacks run BETWEEN crossings: they may charge compute and flip the
   /// phase (dist::cm_level_step flips to the sort phase at sort_route, so
   /// crossings 4-5 and the sort-side volume land in the Ordering:Sort
-  /// ledger) but must not invoke any collective. Published backing stores
-  /// must stay untouched while peers read them: `local` until crossing 2,
-  /// route_buf until crossing 3, carry_buf until crossing 4, sort_route_buf
-  /// until crossing 5, and rank_route_buf until this rank's next collective
-  /// (whose first crossing proves every peer finished reading; size-only
-  /// mutations such as a workspace checkout's clear() are harmless).
+  /// ledger) but must not invoke any collective.
   /// Charged as its component collectives: the head exactly like
   /// fused_gather_route_count, the tail as an allgatherv of the carry plus
   /// two FULL-communicator alltoallvs — the paper prices SORTPERM as an
@@ -330,8 +330,8 @@ class Comm {
   /// The shared three-superstep head of the fused collectives: publish +
   /// gather, route + exchange, count + allreduce — three crossings, charged
   /// as its component collectives. `count_publish(recv_buf)` runs between
-  /// crossings 2 and 3 and may publish additional boards (the ordering
-  /// level rides its histogram carry on the freed scalar board there).
+  /// crossings 2 and 3 and may also publish a span (the ordering level
+  /// rides its histogram carry next to the count there).
   template <class T, class RouteFn, class CountPublishFn>
   std::int64_t fused_head(CollOp op, std::span<const int> gather_peers,
                           std::span<const T> local, std::vector<T>& gather_buf,
@@ -340,45 +340,53 @@ class Comm {
                           CountPublishFn&& count_publish);
 
   /// Entry hook of EVERY collective, called before the first crossing:
-  /// bumps the rank's collective counter, fires any scripted fault due at
-  /// this ordinal, and publishes the op-id/epoch tag on this
-  /// communicator's tag board.
+  /// bumps the rank's collective counters, fires any scripted fault due at
+  /// this ordinal, and fixes the op-id/epoch tag every crossing of this
+  /// collective publishes.
   void enter_collective(CollOp op);
-  /// Tag check of every multi-crossing collective, called after each
-  /// non-final crossing before the reads it opens: all peers must have
-  /// published the same (op, epoch) tag, else CollectiveMismatchError names
-  /// both call sites. Costs no crossing and no modeled time.
-  void verify_collective(CollOp op);
   /// Applies the armed payload-corruption fault (if any) to a received
   /// buffer of `bytes` bytes: one deterministic bit flip in the first
   /// word, then the fault disarms. No-op when nothing is armed.
   void maybe_corrupt(void* data, std::size_t bytes);
 
-  // Type-erased building blocks implemented in comm.cpp. Publishing COPIES
-  // the payload into context-owned arenas (see CommContext): peers read
-  // context memory, never this rank's frames, so a rank that unwinds
-  // mid-run cannot leave dangling board pointers behind.
+  // Type-erased board access implemented in comm.cpp. Publishing writes
+  // this rank's slot of the board the NEXT crossing uses, and COPIES the
+  // payload into context-owned arenas (see CommContext): peers read context
+  // memory, never this rank's frames, so a rank that unwinds mid-run cannot
+  // leave dangling board pointers behind. The peer_* readers read the
+  // board of the LAST crossing. A slot carries one span, one
+  // per-destination table and one word.
   void publish(const void* ptr, std::uint64_t count, std::size_t elem_bytes);
-  const void* peer_ptr(int r) const;
-  std::uint64_t peer_count(int r) const;
   void publish_arrays(const void* const* ptrs, const std::uint64_t* counts,
                       std::size_t elem_bytes);
-  const void* const* peer_ptr_array(int r) const;
-  const std::uint64_t* peer_count_array(int r) const;
-  /// The auxiliary payload board: a second per-destination array board, so
-  /// a fused collective can run two routed supersteps back to back (the
-  /// primary array board is still being read when the second superstep
-  /// publishes).
-  void publish_arrays_aux(const void* const* ptrs, const std::uint64_t* counts,
-                          std::size_t elem_bytes);
-  const void* const* peer_ptr_array_aux(int r) const;
-  const std::uint64_t* peer_count_array_aux(int r) const;
-  void publish_i64(std::int64_t v);
-  std::int64_t peer_i64(int r) const;
-  /// Raw barrier crossing: no modeled seconds charged, but every crossing
-  /// is recorded in the per-phase barrier_crossings ledger (the quantity
-  /// the fused level kernel's 3-vs-8 contract is asserted on).
+  void publish_word(std::int64_t v);
+  const void* peer_ptr(int r) const;
+  std::uint64_t peer_count(int r) const;
+  const void* peer_ptr_array(int r, int dest) const;
+  std::uint64_t peer_count_array(int r, int dest) const;
+  std::int64_t peer_word(int r) const;
+  /// One barrier crossing: publishes this collective's tag on the
+  /// crossing's parity tag board, records the crossing in the per-phase
+  /// barrier_crossings ledger (no modeled seconds), arrives, and then
+  /// checks every peer's tag on that board: CollectiveMismatchError names
+  /// both call sites on any disagreement. The check runs before the reads
+  /// the crossing opens, so a diverged peer's slots are never consumed.
+  /// A FaultPlan's delay_reads rank sleeps between arriving and checking.
   void cross_barrier();
+
+  /// Publishes one buffer per destination (an empty table when `bufs` is
+  /// null) and returns the total element count.
+  template <class T>
+  std::uint64_t publish_routed(const std::vector<std::vector<T>>* bufs);
+  /// Replaces `out` with what every member routed to this rank on the last
+  /// crossing, in source-rank order (per-source counts in src_counts_), and
+  /// applies any armed corruption. Returns the element count. Does not
+  /// reserve: caller-owned workspace buffers keep their growth pattern.
+  template <class T>
+  std::uint64_t receive_routed(std::vector<T>& out);
+  /// Appends member r's published span to `out`; returns its length.
+  template <class T>
+  std::uint64_t append_span(std::vector<T>& out, int r) const;
 
   void charge(const CommCost& cost);
 
@@ -387,19 +395,13 @@ class Comm {
   int size_;
   RankState* state_;
   const CostModel* model_;
-  /// fused_gather_route_count's published pointer tables, kept on the
-  /// Comm (one per rank) so steady-state level loops allocate nothing
-  /// per call. Reuse is safe: the previous call's peers are all past its
-  /// final crossing before this rank can re-enter the collective.
-  std::vector<const void*> fused_ptrs_;
-  std::vector<std::uint64_t> fused_counts_;
-  /// Second pointer-table pair for fused_order_level's position-scatter
-  /// superstep (the primary tables are still being read by peers of the
-  /// element-deal superstep), plus the per-source count scratch handed to
-  /// its rank_route callback.
-  std::vector<const void*> fused_ptrs_aux_;
-  std::vector<std::uint64_t> fused_counts_aux_;
-  std::vector<std::uint64_t> fused_src_counts_;
+  /// Staging tables for publish_routed and the per-source counts of the
+  /// last receive_routed, kept on the Comm (one per rank) so steady-state
+  /// level loops allocate nothing per call. Publishing copies, so reuse
+  /// across supersteps is safe.
+  std::vector<const void*> route_ptrs_;
+  std::vector<std::uint64_t> route_counts_;
+  std::vector<std::uint64_t> src_counts_;
 };
 
 /// RAII phase setter that also attributes measured wall time to the phase.
@@ -425,20 +427,55 @@ class PhaseScope {
 // Template implementations.
 
 template <class T>
+std::uint64_t Comm::publish_routed(const std::vector<std::vector<T>>* bufs) {
+  route_ptrs_.assign(static_cast<std::size_t>(size_), nullptr);
+  route_counts_.assign(static_cast<std::size_t>(size_), 0);
+  std::uint64_t total = 0;
+  if (bufs != nullptr) {
+    for (std::size_t d = 0; d < route_ptrs_.size(); ++d) {
+      route_ptrs_[d] = (*bufs)[d].data();
+      route_counts_[d] = (*bufs)[d].size();
+      total += route_counts_[d];
+    }
+  }
+  publish_arrays(route_ptrs_.data(), route_counts_.data(), sizeof(T));
+  return total;
+}
+
+template <class T>
+std::uint64_t Comm::receive_routed(std::vector<T>& out) {
+  out.clear();
+  src_counts_.resize(static_cast<std::size_t>(size_));
+  for (int s = 0; s < size_; ++s) {
+    const std::uint64_t c = peer_count_array(s, rank_);
+    const T* src = static_cast<const T*>(peer_ptr_array(s, rank_));
+    out.insert(out.end(), src, src + c);
+    src_counts_[static_cast<std::size_t>(s)] = c;
+  }
+  maybe_corrupt(out.data(), out.size() * sizeof(T));
+  return out.size();
+}
+
+template <class T>
+std::uint64_t Comm::append_span(std::vector<T>& out, int r) const {
+  const T* src = static_cast<const T*>(peer_ptr(r));
+  out.insert(out.end(), src, src + peer_count(r));
+  return peer_count(r);
+}
+
+template <class T>
 void Comm::bcast(std::vector<T>& data, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
   DRCM_CHECK(root >= 0 && root < size_, "bcast root out of range");
   enter_collective(CollOp::kBcast);
   publish(data.data(), data.size(), sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kBcast);
-  std::uint64_t count = peer_count(root);
+  const std::uint64_t count = peer_count(root);
   if (rank_ != root) {
-    const T* src = static_cast<const T*>(peer_ptr(root));
-    data.assign(src, src + count);
+    data.clear();
+    append_span(data, root);
     maybe_corrupt(data.data(), data.size() * sizeof(T));
   }
-  cross_barrier();
   charge(model_->bcast(size_, count * words_of<T>()));
 }
 
@@ -448,13 +485,11 @@ T Comm::allreduce(const T& value, Combine combine) {
   enter_collective(CollOp::kAllreduce);
   publish(&value, 1, sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kAllreduce);
   T acc = *static_cast<const T*>(peer_ptr(0));
   for (int r = 1; r < size_; ++r) {
     acc = combine(acc, *static_cast<const T*>(peer_ptr(r)));
   }
   maybe_corrupt(&acc, sizeof(T));
-  cross_barrier();
   charge(model_->allreduce(size_, words_of<T>()));
   return acc;
 }
@@ -465,14 +500,10 @@ std::vector<T> Comm::allgather(const T& value) {
   enter_collective(CollOp::kAllgather);
   publish(&value, 1, sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kAllgather);
   std::vector<T> out;
   out.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) {
-    out.push_back(*static_cast<const T*>(peer_ptr(r)));
-  }
+  for (int r = 0; r < size_; ++r) append_span(out, r);
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   charge(model_->allgatherv(size_, static_cast<std::uint64_t>(size_) * words_of<T>()));
   return out;
 }
@@ -483,17 +514,12 @@ std::vector<T> Comm::allgatherv(std::span<const T> local) {
   enter_collective(CollOp::kAllgatherv);
   publish(local.data(), local.size(), sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kAllgatherv);
   std::uint64_t total = 0;
   for (int r = 0; r < size_; ++r) total += peer_count(r);
   std::vector<T> out;
   out.reserve(total);
-  for (int r = 0; r < size_; ++r) {
-    const T* src = static_cast<const T*>(peer_ptr(r));
-    out.insert(out.end(), src, src + peer_count(r));
-  }
+  for (int r = 0; r < size_; ++r) append_span(out, r);
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   charge(model_->allgatherv(size_, total * words_of<T>()));
   return out;
 }
@@ -505,30 +531,14 @@ std::vector<T> Comm::alltoallv(const std::vector<std::vector<T>>& send,
   DRCM_CHECK(static_cast<int>(send.size()) == size_,
              "alltoallv needs one send buffer per destination rank");
   enter_collective(CollOp::kAlltoallv);
-  std::vector<const void*> my_ptrs(static_cast<std::size_t>(size_));
-  std::vector<std::uint64_t> my_counts(static_cast<std::size_t>(size_));
-  std::uint64_t send_total = 0;
-  for (int d = 0; d < size_; ++d) {
-    my_ptrs[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)].data();
-    my_counts[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)].size();
-    send_total += my_counts[static_cast<std::size_t>(d)];
-  }
-  publish_arrays(my_ptrs.data(), my_counts.data(), sizeof(T));
+  const std::uint64_t send_total = publish_routed(&send);
   cross_barrier();
-  verify_collective(CollOp::kAlltoallv);
-  std::uint64_t recv_total = 0;
-  for (int s = 0; s < size_; ++s) recv_total += peer_count_array(s)[rank_];
   std::vector<T> out;
+  std::uint64_t recv_total = 0;
+  for (int s = 0; s < size_; ++s) recv_total += peer_count_array(s, rank_);
   out.reserve(recv_total);
-  if (recv_counts) recv_counts->assign(static_cast<std::size_t>(size_), 0);
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array(s)[rank_];
-    const T* src = static_cast<const T*>(peer_ptr_array(s)[rank_]);
-    out.insert(out.end(), src, src + c);
-    if (recv_counts) (*recv_counts)[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(c);
-  }
-  maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
+  receive_routed(out);
+  if (recv_counts) recv_counts->assign(src_counts_.begin(), src_counts_.end());
   charge(model_->alltoallv(size_, send_total * words_of<T>(),
                            recv_total * words_of<T>()));
   return out;
@@ -540,13 +550,11 @@ T Comm::exscan_sum(const T& value) {
   enter_collective(CollOp::kExscan);
   publish(&value, 1, sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kExscan);
   T acc{};
   for (int r = 0; r < rank_; ++r) {
     acc = static_cast<T>(acc + *static_cast<const T*>(peer_ptr(r)));
   }
   maybe_corrupt(&acc, sizeof(T));
-  cross_barrier();
   charge(model_->exscan(size_, words_of<T>()));
   return acc;
 }
@@ -558,19 +566,14 @@ std::vector<T> Comm::gatherv(std::span<const T> local, int root) {
   enter_collective(CollOp::kGatherv);
   publish(local.data(), local.size(), sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kGatherv);
   std::vector<T> out;
   std::uint64_t total = 0;
   for (int r = 0; r < size_; ++r) total += peer_count(r);
   if (rank_ == root) {
     out.reserve(total);
-    for (int r = 0; r < size_; ++r) {
-      const T* src = static_cast<const T*>(peer_ptr(r));
-      out.insert(out.end(), src, src + peer_count(r));
-    }
+    for (int r = 0; r < size_; ++r) append_span(out, r);
     maybe_corrupt(out.data(), out.size() * sizeof(T));
   }
-  cross_barrier();
   charge(model_->gatherv(size_, total * words_of<T>()));
   return out;
 }
@@ -580,29 +583,17 @@ std::vector<T> Comm::scatterv(const std::vector<std::vector<T>>& chunks,
                               int root) {
   static_assert(std::is_trivially_copyable_v<T>);
   DRCM_CHECK(root >= 0 && root < size_, "scatterv root out of range");
+  DRCM_CHECK(rank_ != root || static_cast<int>(chunks.size()) == size_,
+             "scatterv needs one chunk per rank");
   enter_collective(CollOp::kScatterv);
   // Every rank publishes a full-size (if empty) table: the copy-on-publish
   // board walks all size_ destination slots even for non-roots.
-  std::vector<const void*> my_ptrs(static_cast<std::size_t>(size_), nullptr);
-  std::vector<std::uint64_t> my_counts(static_cast<std::size_t>(size_), 0);
-  std::uint64_t total = 0;
-  if (rank_ == root) {
-    DRCM_CHECK(static_cast<int>(chunks.size()) == size_,
-               "scatterv needs one chunk per rank");
-    for (int r = 0; r < size_; ++r) {
-      my_ptrs[static_cast<std::size_t>(r)] = chunks[static_cast<std::size_t>(r)].data();
-      my_counts[static_cast<std::size_t>(r)] = chunks[static_cast<std::size_t>(r)].size();
-      total += my_counts[static_cast<std::size_t>(r)];
-    }
-  }
-  publish_arrays(my_ptrs.data(), my_counts.data(), sizeof(T));
+  const std::uint64_t total = publish_routed(rank_ == root ? &chunks : nullptr);
   cross_barrier();
-  verify_collective(CollOp::kScatterv);
-  const std::uint64_t c = peer_count_array(root)[rank_];
-  const T* src = static_cast<const T*>(peer_ptr_array(root)[rank_]);
+  const std::uint64_t c = peer_count_array(root, rank_);
+  const T* src = static_cast<const T*>(peer_ptr_array(root, rank_));
   std::vector<T> out(src, src + c);
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   charge(model_->scatterv(size_, total * words_of<T>()));
   return out;
 }
@@ -614,7 +605,6 @@ T Comm::reduce(const T& value, Combine combine, int root) {
   enter_collective(CollOp::kReduce);
   publish(&value, 1, sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kReduce);
   T acc{};
   if (rank_ == root) {
     acc = *static_cast<const T*>(peer_ptr(0));
@@ -623,7 +613,6 @@ T Comm::reduce(const T& value, Combine combine, int root) {
     }
     maybe_corrupt(&acc, sizeof(T));
   }
-  cross_barrier();
   charge(model_->reduce(size_, words_of<T>()));
   return acc;
 }
@@ -635,12 +624,9 @@ std::vector<T> Comm::pairwise_exchange(int partner, std::span<const T> send) {
   enter_collective(CollOp::kPairwise);
   publish(send.data(), send.size(), sizeof(T));
   cross_barrier();
-  verify_collective(CollOp::kPairwise);
-  const std::uint64_t count = peer_count(partner);
-  const T* src = static_cast<const T*>(peer_ptr(partner));
-  std::vector<T> out(src, src + count);
+  std::vector<T> out;
+  const std::uint64_t count = append_span(out, partner);
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   if (partner != rank_) {
     charge(model_->pairwise(count * words_of<T>()));
   }
@@ -656,64 +642,36 @@ std::int64_t Comm::fused_head(CollOp op, std::span<const int> gather_peers,
                               CountPublishFn&& count_publish) {
   static_assert(std::is_trivially_copyable_v<T>);
 
-  // Superstep 1: publish my span on the scalar board...
+  // Superstep 1: publish my span, read my gather group.
   enter_collective(op);
   publish(local.data(), local.size(), sizeof(T));
   cross_barrier();
-  verify_collective(op);
-  // ...and read my gather group. Peers read MY span until crossing 2, so
-  // `local` must not alias any buffer mutated below (gather_buf is fine:
-  // it is this rank's private landing area).
   gather_buf.clear();
   for (const int r : gather_peers) {
     DRCM_CHECK(r >= 0 && r < size_, "gather peer out of range");
-    const T* src = static_cast<const T*>(peer_ptr(r));
-    gather_buf.insert(gather_buf.end(), src, src + peer_count(r));
+    append_span(gather_buf, r);
   }
   const std::uint64_t gathered_words = gather_buf.size() * words_of<T>();
 
-  // Superstep 2: route locally, publish per-destination buffers on the
-  // array board (the scalar board is still being read — boards are
-  // distinct, so this costs no extra crossing).
+  // Superstep 2: route locally, publish per-destination buffers, receive
+  // what every rank routed to me.
   route(static_cast<const std::vector<T>&>(gather_buf), route_buf);
   DRCM_CHECK(static_cast<int>(route_buf.size()) == size_,
              "route must produce one buffer per destination rank");
-  fused_ptrs_.resize(static_cast<std::size_t>(size_));
-  fused_counts_.resize(static_cast<std::size_t>(size_));
-  std::uint64_t send_words = 0;
   int fan_out = 0;
   for (int d = 0; d < size_; ++d) {
-    const auto& buf = route_buf[static_cast<std::size_t>(d)];
-    fused_ptrs_[static_cast<std::size_t>(d)] = buf.data();
-    fused_counts_[static_cast<std::size_t>(d)] = buf.size();
-    send_words += buf.size() * words_of<T>();
-    fan_out += !buf.empty() && d != rank_;
+    fan_out += !route_buf[static_cast<std::size_t>(d)].empty() && d != rank_;
   }
-  publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(T));
+  const std::uint64_t send_words = publish_routed(&route_buf) * words_of<T>();
   cross_barrier();
-  // Re-verify before reading: crossing 2 is non-final for both fused
-  // variants, so a passing check proves every rank is still in lockstep in
-  // THIS call and the array board below is stable while we read it. (A rank
-  // that diverged — e.g. on a corrupted payload — would have published a
-  // different tag before whichever arrival released us.)
-  verify_collective(op);
-  recv_buf.clear();
-  std::uint64_t recv_words = 0;
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array(s)[rank_];
-    const T* src = static_cast<const T*>(peer_ptr_array(s)[rank_]);
-    recv_buf.insert(recv_buf.end(), src, src + c);
-    recv_words += c * words_of<T>();
-  }
-  maybe_corrupt(recv_buf.data(), recv_buf.size() * sizeof(T));
+  const std::uint64_t recv_words = receive_routed(recv_buf) * words_of<T>();
 
-  // Superstep 3: publish my contribution on the int64 board (the array
-  // board is still being read; count_publish may ride additional boards),
-  // fold everyone's after the last crossing.
-  publish_i64(count_publish(static_cast<const std::vector<T>&>(recv_buf)));
+  // Superstep 3: publish my count (count_publish may add a span), fold
+  // everyone's after the crossing.
+  publish_word(count_publish(static_cast<const std::vector<T>&>(recv_buf)));
   cross_barrier();
   std::int64_t total = 0;
-  for (int r = 0; r < size_; ++r) total += peer_i64(r);
+  for (int r = 0; r < size_; ++r) total += peer_word(r);
 
   CommCost cost =
       model_->allgatherv(static_cast<int>(gather_peers.size()), gathered_words);
@@ -750,7 +708,7 @@ std::int64_t Comm::fused_order_level(
   static_assert(std::is_trivially_copyable_v<H>);
 
   // Supersteps 1-3: the shared head, with the carry payload riding the
-  // scalar board (free since crossing 2) next to the int64 count.
+  // count superstep's span.
   const std::int64_t total = fused_head(
       CollOp::kFusedOrderLevel, gather_peers, local, gather_buf, route_buf,
       recv_buf, std::forward<RouteFn>(route),
@@ -762,76 +720,36 @@ std::int64_t Comm::fused_order_level(
       });
   if (total == 0) return 0;  // identical on every rank: uniform early exit
 
-  // total != 0 means crossing 3 was NOT this call's final crossing, so the
-  // lockstep re-check is sound here and guards the carry reads below.
-  verify_collective(CollOp::kFusedOrderLevel);
-
-  // Superstep 4: read the carry allgather, deal the U elements (the array
-  // board is free since crossing 3).
+  // Superstep 4: read the carry allgather, deal the U elements.
   carry_all.clear();
   std::uint64_t carry_words = 0;
   for (int r = 0; r < size_; ++r) {
-    const H* src = static_cast<const H*>(peer_ptr(r));
-    carry_all.insert(carry_all.end(), src, src + peer_count(r));
-    carry_words += peer_count(r) * words_of<H>();
+    carry_words += append_span(carry_all, r) * words_of<H>();
   }
   sort_route(total, static_cast<const std::vector<H>&>(carry_all),
              sort_route_buf);
   charge(model_->allgatherv(size_, carry_words));
   DRCM_CHECK(static_cast<int>(sort_route_buf.size()) == size_,
              "sort_route must produce one buffer per destination rank");
-  std::uint64_t sort_send_words = 0;
-  for (int d = 0; d < size_; ++d) {
-    const auto& buf = sort_route_buf[static_cast<std::size_t>(d)];
-    fused_ptrs_[static_cast<std::size_t>(d)] = buf.data();
-    fused_counts_[static_cast<std::size_t>(d)] = buf.size();
-    sort_send_words += buf.size() * words_of<U>();
-  }
-  publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(U));
+  const std::uint64_t sort_send_words =
+      publish_routed(&sort_route_buf) * words_of<U>();
   cross_barrier();
-  verify_collective(CollOp::kFusedOrderLevel);  // crossing 4: still non-final
-  sort_recv_buf.clear();
-  fused_src_counts_.assign(static_cast<std::size_t>(size_), 0);
-  std::uint64_t sort_recv_words = 0;
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array(s)[rank_];
-    const U* src = static_cast<const U*>(peer_ptr_array(s)[rank_]);
-    sort_recv_buf.insert(sort_recv_buf.end(), src, src + c);
-    fused_src_counts_[static_cast<std::size_t>(s)] = c;
-    sort_recv_words += c * words_of<U>();
-  }
-  maybe_corrupt(sort_recv_buf.data(), sort_recv_buf.size() * sizeof(U));
+  const std::uint64_t sort_recv_words =
+      receive_routed(sort_recv_buf) * words_of<U>();
   // Priced as the paper's all-process AlltoAll (T_SortPerm's alpha*p term),
   // matching the standalone sortperm_bucket exchange it replaces.
   charge(model_->alltoallv(size_, sort_send_words, sort_recv_words));
 
-  // Superstep 5: scatter the computed positions home on the auxiliary
-  // payload board (the primary array board is still being read).
+  // Superstep 5: scatter the computed positions home.
   rank_route(static_cast<const std::vector<U>&>(sort_recv_buf),
-             std::span<const std::uint64_t>(fused_src_counts_),
-             rank_route_buf);
+             std::span<const std::uint64_t>(src_counts_), rank_route_buf);
   DRCM_CHECK(static_cast<int>(rank_route_buf.size()) == size_,
              "rank_route must produce one buffer per destination rank");
-  fused_ptrs_aux_.resize(static_cast<std::size_t>(size_));
-  fused_counts_aux_.resize(static_cast<std::size_t>(size_));
-  std::uint64_t rank_send_words = 0;
-  for (int d = 0; d < size_; ++d) {
-    const auto& buf = rank_route_buf[static_cast<std::size_t>(d)];
-    fused_ptrs_aux_[static_cast<std::size_t>(d)] = buf.data();
-    fused_counts_aux_[static_cast<std::size_t>(d)] = buf.size();
-    rank_send_words += buf.size() * words_of<T>();
-  }
-  publish_arrays_aux(fused_ptrs_aux_.data(), fused_counts_aux_.data(), sizeof(T));
+  const std::uint64_t rank_send_words =
+      publish_routed(&rank_route_buf) * words_of<T>();
   cross_barrier();
-  rank_recv_buf.clear();
-  std::uint64_t rank_recv_words = 0;
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array_aux(s)[rank_];
-    const T* src = static_cast<const T*>(peer_ptr_array_aux(s)[rank_]);
-    rank_recv_buf.insert(rank_recv_buf.end(), src, src + c);
-    rank_recv_words += c * words_of<T>();
-  }
-  maybe_corrupt(rank_recv_buf.data(), rank_recv_buf.size() * sizeof(T));
+  const std::uint64_t rank_recv_words =
+      receive_routed(rank_recv_buf) * words_of<T>();
   charge(model_->alltoallv(size_, rank_send_words, rank_recv_words));
   finish(static_cast<const std::vector<T>&>(rank_recv_buf));
   return total;

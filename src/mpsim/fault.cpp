@@ -69,6 +69,11 @@ FaultPlan& FaultPlan::stall_at(int rank, std::uint64_t nth_collective,
   return *this;
 }
 
+FaultPlan& FaultPlan::delay_reads(int rank) {
+  slow_reader_ = rank;
+  return *this;
+}
+
 FaultPlan FaultPlan::random(std::uint64_t seed, int nranks,
                             std::uint64_t horizon, int count) {
   DRCM_CHECK(nranks >= 1, "random plan needs at least one rank");

@@ -86,6 +86,12 @@ class FaultPlan {
   FaultPlan& fail_alloc_at(int rank, std::uint64_t nth_collective);
   FaultPlan& stall_at(int rank, std::uint64_t nth_collective,
                       double modeled_seconds);
+  /// Not a fault but a scheduling perturbation: `rank` sleeps briefly after
+  /// every barrier crossing, before the reads it opens, widening the window
+  /// in which a board-reuse bug would let a fast peer overwrite what this
+  /// rank is about to read. Persistent, unlike the one-shot actions.
+  FaultPlan& delay_reads(int rank);
+  bool delays_reads(int rank) const { return rank == slow_reader_; }
 
   /// A reproducible plan of `count` faults drawn from `seed`: ranks uniform
   /// in [0, nranks), ordinals uniform in [1, horizon], kinds cycling through
@@ -106,6 +112,7 @@ class FaultPlan {
 
  private:
   std::vector<FaultAction> actions_;
+  int slow_reader_ = -1;
 };
 
 }  // namespace drcm::mps

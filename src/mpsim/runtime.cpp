@@ -24,6 +24,7 @@ PhaseAggregate SpmdReport::aggregate(Phase phase) const {
     agg.max.compute_units = std::max(agg.max.compute_units, t.compute_units);
     agg.max.messages = std::max(agg.max.messages, t.messages);
     agg.max.words = std::max(agg.max.words, t.words);
+    agg.max.collectives = std::max(agg.max.collectives, t.collectives);
     agg.max.barrier_crossings =
         std::max(agg.max.barrier_crossings, t.barrier_crossings);
     agg.mean.wall_seconds += t.wall_seconds / n;
@@ -32,10 +33,12 @@ PhaseAggregate SpmdReport::aggregate(Phase phase) const {
     agg.mean.compute_units += t.compute_units / n;
     agg.mean.messages += t.messages;
     agg.mean.words += t.words;
+    agg.mean.collectives += t.collectives;
     agg.mean.barrier_crossings += t.barrier_crossings;
   }
   agg.mean.messages /= ranks.size();
   agg.mean.words /= ranks.size();
+  agg.mean.collectives /= ranks.size();
   agg.mean.barrier_crossings /= ranks.size();
   return agg;
 }

@@ -31,6 +31,7 @@ PhaseTotals& PhaseTotals::operator+=(const PhaseTotals& o) {
   compute_units += o.compute_units;
   messages += o.messages;
   words += o.words;
+  collectives += o.collectives;
   barrier_crossings += o.barrier_crossings;
   return *this;
 }
@@ -51,6 +52,10 @@ void StatsRecorder::add_compute(Phase phase, double units,
 
 void StatsRecorder::add_wall(Phase phase, double seconds) {
   totals_[static_cast<int>(phase)].wall_seconds += seconds;
+}
+
+void StatsRecorder::add_collective(Phase phase) {
+  ++totals_[static_cast<int>(phase)].collectives;
 }
 
 void StatsRecorder::add_crossing(Phase phase) {

@@ -41,10 +41,14 @@ struct PhaseTotals {
   double compute_units = 0.0;       ///< raw work units charged
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
-  /// Barrier synchronizations entered (every collective is two crossings
-  /// of the publication-board barrier; the fused level collective is
-  /// three for its whole gather-route-count chain, and the fused ordering
-  /// level five for BFS level + SORTPERM + label scatter together). The
+  /// Collectives entered: one per Comm collective call (a fused level
+  /// kernel counts once). The paper's latency count, independent of how
+  /// the simulator synchronizes.
+  std::uint64_t collectives = 0;
+  /// The simulator's synchronization count: barrier crossings of the
+  /// publication-board protocol. Every plain collective is one crossing,
+  /// split two, the fused level collective three and the fused ordering
+  /// level five (BFS level + SORTPERM + label scatter together). The
   /// latency budget the fused kernels exist to shrink.
   std::uint64_t barrier_crossings = 0;
 
@@ -59,6 +63,7 @@ class StatsRecorder {
   void add_comm(Phase phase, const CommCost& cost);
   void add_compute(Phase phase, double units, double modeled_seconds);
   void add_wall(Phase phase, double seconds);
+  void add_collective(Phase phase);
   void add_crossing(Phase phase);
 
   /// Records that this rank currently holds `elements` scalar slots of

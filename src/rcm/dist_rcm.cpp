@@ -57,7 +57,7 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
 
     // One ordering level: Lnext <- SELECT(SPMSPV(A, SET(Lcur, R)), R = -1);
     // R <- SET(R, SORTPERM(Lnext, D) + nv). Fused: five barrier crossings
-    // (three on the terminal level). Reference: 3 + SORTPERM's 6 = 9.
+    // (three on the terminal level). Reference: 3 + SORTPERM's 3 = 6.
     const auto step =
         fused ? dist::cm_level_step(a, frontier, labels, degrees, label_lo,
                                     label_hi, next_label, grid,

@@ -300,9 +300,10 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
   }
 
   // Crossing arithmetic (see header): a reused component skips at least
-  // its peripheral search (>= 3 crossings) and terminal level step (3); a
-  // cone skips 5 per non-terminal step but adds the 2-crossing membership
-  // allreduce; a recompute only adds the membership allreduce.
+  // its peripheral search (>= 3 crossings: one fused BFS level) and
+  // terminal level step (3); a cone skips 5 per non-terminal step but adds
+  // the 1-crossing membership allreduce; a recompute only adds the
+  // membership allreduce.
   for (std::size_t k = 0; k < ncomp; ++k) {
     auto& cp = plan.components[k];
     if (min_level[k] == kNoVertex) {
@@ -312,10 +313,10 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
       cp.action = RepairAction::kCone;
       cp.cone_level = min_level[k];
       plan.level_steps_skipped += min_level[k] - 1;
-      plan.crossing_margin += 5 * (min_level[k] - 1) - 2;
+      plan.crossing_margin += 5 * (min_level[k] - 1) - 1;
     } else {
       cp.action = RepairAction::kRecompute;
-      plan.crossing_margin -= 2;
+      plan.crossing_margin -= 1;
     }
   }
   plan.profitable = plan.crossing_margin > 0;
@@ -548,7 +549,7 @@ std::uint64_t resident_budget(nnz_t nnz, int p, index_t n) {
 /// built by the CALLER, outside the phase scope below: its two Comm::split
 /// calls are collectives of their own, and keeping them out pins the
 /// kRedistribute crossing count to exactly the redistribution traffic
-/// (alltoallv + bandwidth allreduce = 4 crossings).
+/// (alltoallv + bandwidth allreduce = 2 crossings).
 dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
                                           dist::ProcGrid2D& grid,
                                           const sparse::CsrMatrix& a,

@@ -141,8 +141,9 @@ struct RepairPlan {
   /// and terminal steps.
   index_t level_steps_skipped = 0;
   /// Conservative crossing margin of repair vs cold: reuse >= +6 per
-  /// component, cone +5*(cone_level-1) - 2 (the membership-check
-  /// allreduce), recompute -2. Repair is only worth launching when > 0.
+  /// component, cone +5*(cone_level-1) - 1 (the one-crossing
+  /// membership-check allreduce), recompute -1. Repair is only worth
+  /// launching when > 0.
   index_t crossing_margin = 0;
   bool profitable = false;
 };

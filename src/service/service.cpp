@@ -359,20 +359,27 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
       st.mode != Mode::kHit || mps::ordering_crossings(lane.stats()) == 0,
       "cache hit must skip every ordering collective");
 
-  const auto max_crossings = lane.allreduce(
-      mps::ordering_crossings(lane.stats()),
-      [](std::uint64_t x, std::uint64_t y) { return std::max(x, y); });
-  const auto sum_reallocs =
-      lane.allreduce(workspace.reallocations() - realloc0,
-                     [](std::uint64_t x, std::uint64_t y) { return x + y; });
+  // One closing allreduce, combined componentwise: (max ordering
+  // crossings, summed workspace reallocations).
+  struct Closing {
+    std::uint64_t max_crossings;
+    std::uint64_t sum_reallocs;
+  };
+  const Closing closing = lane.allreduce(
+      Closing{mps::ordering_crossings(lane.stats()),
+              workspace.reallocations() - realloc0},
+      [](const Closing& x, const Closing& y) {
+        return Closing{std::max(x.max_crossings, y.max_crossings),
+                       x.sum_reallocs + y.sum_reallocs};
+      });
 
   const auto mine = lane.stats();
   lane.stats() = saved;
   lane.stats().merge_from(mine);
 
   // Deposit this rank's share. Lane rank 0 flips `done` LAST: the flip
-  // happens after both allreduces above, which every lane rank must have
-  // entered, and each rank's deposits precede its next collective — so
+  // happens after the closing allreduce above, which every lane rank must
+  // have entered, and each rank's deposits precede its next collective — so
   // done == true guarantees complete deposits by the time the runtime has
   // joined the threads.
   auto& resp = batch.responses[req];
@@ -390,8 +397,8 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
   resp.fingerprint = fp;
   resp.permuted_bandwidth = result.permuted_bandwidth;
   resp.cg = result.cg;
-  resp.ordering_crossings = max_crossings;
-  resp.workspace_reallocations = sum_reallocs;
+  resp.ordering_crossings = closing.max_crossings;
+  resp.workspace_reallocations = closing.sum_reallocs;
   resp.lane = wave.lanes.color_of(world_rank);
   resp.lane_ranks = wave.lanes.lane_size;
   if (repaired) {

@@ -178,17 +178,41 @@ void dist_spmv(mps::Comm& world, const LocalSystem& sys,
   world.charge_compute(static_cast<double>(sys.lval.size() + sys.rval.size()));
 }
 
-double dist_dot(mps::Comm& world, std::span<const double> a,
-                std::span<const double> b) {
+double local_dot(mps::Comm& world, std::span<const double> a,
+                 std::span<const double> b) {
   double local = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) local += a[i] * b[i];
   world.charge_compute(static_cast<double>(a.size()));
-  return world.allreduce(local, [](double x, double y) { return x + y; });
+  return local;
+}
+
+double dist_dot(mps::Comm& world, std::span<const double> a,
+                std::span<const double> b) {
+  return world.allreduce(local_dot(world, a, b),
+                         [](double x, double y) { return x + y; });
+}
+
+/// r·r and r·z of the same (r, z) in ONE 2-word allreduce. Each component
+/// is the same local sum and the same rank-order fold as a separate
+/// dist_dot, so both results are bit-identical to two reductions.
+struct RrRz {
+  double rr;
+  double rz;
+};
+
+RrRz dist_dot_rr_rz(mps::Comm& world, std::span<const double> r,
+                    std::span<const double> z) {
+  const RrRz local{local_dot(world, r, r), local_dot(world, r, z)};
+  return world.allreduce(local, [](const RrRz& x, const RrRz& y) {
+    return RrRz{x.rr + y.rr, x.rz + y.rz};
+  });
 }
 
 /// The shared PCG iteration: local state only, one halo'd SpMV and two
-/// allreduce dots per iteration. `x_out` receives this rank's solution
-/// slab — replication, when a caller wants it, is gather_solution's job.
+/// allreduces per iteration — p·Ap, and the next iteration's r·r fused
+/// with r·z (3 barrier crossings with the halo alltoallv). `x_out`
+/// receives this rank's solution slab — replication, when a caller wants
+/// it, is gather_solution's job.
 CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
                  const BlockJacobi* pre, std::span<const double> b_local,
                  std::vector<double>& x_out, const CgOptions& options) {
@@ -199,7 +223,21 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
   std::vector<double> x_local(nloc, 0.0), r(nloc), z(nloc), pdir(nloc),
       ap(nloc), halo;
   for (std::size_t i = 0; i < nloc; ++i) r[i] = b_local[i];
-  const double bnorm = std::sqrt(dist_dot(world, r, r));
+
+  const auto apply_pre = [&](std::span<const double> in, std::span<double> out) {
+    if (pre) {
+      pre->apply(in, out);
+      world.charge_compute(static_cast<double>(2 * nloc));
+    } else {
+      std::copy(in.begin(), in.end(), out.begin());
+    }
+  };
+
+  // r = b, so r·r is ||b||^2 and also the first iteration's residual
+  // check; it shares its reduction with the initial r·z.
+  apply_pre(r, z);
+  auto dots = dist_dot_rr_rz(world, r, z);
+  const double bnorm = std::sqrt(dots.rr);
 
   CgResult res;
   if (pre) res.shifted_pivots = pre->shifted_pivots();
@@ -218,18 +256,8 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
     return res;
   }
 
-  const auto apply_pre = [&](std::span<const double> in, std::span<double> out) {
-    if (pre) {
-      pre->apply(in, out);
-      world.charge_compute(static_cast<double>(2 * nloc));
-    } else {
-      std::copy(in.begin(), in.end(), out.begin());
-    }
-  };
-
-  apply_pre(r, z);
   pdir.assign(z.begin(), z.end());
-  double rz = dist_dot(world, r, z);
+  double rz = dots.rz;
 
   // Every exit decision below is driven by allreduce-replicated scalars
   // (residual norm, p'Ap, r'z), so all ranks branch identically and the
@@ -239,7 +267,7 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
   int since_improvement = 0;
   bool done = false;
   for (int it = 0; it < options.max_iterations && !done; ++it) {
-    res.relative_residual = std::sqrt(dist_dot(world, r, r)) / bnorm;
+    res.relative_residual = std::sqrt(dots.rr) / bnorm;
     if (!std::isfinite(res.relative_residual)) {
       res.status = SolveStatus::kNanInf;
       done = true;
@@ -280,20 +308,20 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
     }
     world.charge_compute(static_cast<double>(2 * nloc));
     apply_pre(r, z);
-    const double rz_next = dist_dot(world, r, z);
-    if (!std::isfinite(rz_next)) {
+    dots = dist_dot_rr_rz(world, r, z);
+    if (!std::isfinite(dots.rz)) {
       res.status = SolveStatus::kNanInf;
       done = true;
       break;
     }
-    const double beta = rz_next / rz;
+    const double beta = dots.rz / rz;
     for (std::size_t i = 0; i < nloc; ++i) pdir[i] = z[i] + beta * pdir[i];
     world.charge_compute(static_cast<double>(nloc));
-    rz = rz_next;
+    rz = dots.rz;
     res.iterations = it + 1;
   }
   if (!done) {
-    res.relative_residual = std::sqrt(dist_dot(world, r, r)) / bnorm;
+    res.relative_residual = std::sqrt(dots.rr) / bnorm;
     res.converged = res.relative_residual <= options.rtol;
     res.status = res.converged ? SolveStatus::kConverged
                                : SolveStatus::kMaxIterations;

@@ -23,7 +23,8 @@ double modeled_cg_seconds(const SolveTimeInputs& inputs,
       p > 1 ? alpha * inputs.halo.max_neighbors +
                   beta * static_cast<double>(inputs.halo.max_remote_entries)
             : 0.0;
-  // Two dot products per iteration: allreduce latency.
+  // Two reductions per iteration: p·Ap, and the next iteration's r·r
+  // fused with r·z into one 2-word allreduce (allreduce latency).
   const double reductions = p > 1 ? 2.0 * 2.0 * alpha * std::log2(p) : 0.0;
 
   return inputs.iterations * (compute + halo_comm + reductions);

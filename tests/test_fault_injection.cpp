@@ -148,6 +148,49 @@ TEST(FaultInjection, MismatchedCollectivesThrowStructuredErrorNotDeadlock) {
   }
 }
 
+TEST(FaultInjection, MismatchAtAFinalCrossingThrowsOnEveryRank) {
+  // Every plain collective is a single crossing, so that crossing is also
+  // its final one — and every crossing is verified. Each rank, the one in
+  // the lone barrier included, sees the divergence and throws the
+  // structured error itself.
+  constexpr int kRanks = 4;
+  std::vector<int> caught(kRanks, 0);
+  EXPECT_THROW(
+      Runtime::run(kRanks,
+                   [&](Comm& world) {
+                     try {
+                       if (world.rank() == 0) {
+                         world.barrier();
+                       } else {
+                         world.allreduce(1, [](int x, int y) { return x + y; });
+                       }
+                     } catch (const mps::CollectiveMismatchError&) {
+                       caught[static_cast<std::size_t>(world.rank())] = 1;
+                       throw;
+                     }
+                   }),
+      mps::CollectiveMismatchError);
+  EXPECT_EQ(caught, std::vector<int>(kRanks, 1));
+}
+
+TEST(FaultInjection, MismatchAtAPlainBarrierThrows) {
+  // Two barriers entered under different phases are different collectives
+  // (the tag carries the phase). A lone barrier crossing used to go
+  // unverified and passed silently; now its check names both call sites.
+  try {
+    Runtime::run(4, [](Comm& world) {
+      mps::PhaseScope scope(world, world.rank() == 2 ? mps::Phase::kSolver
+                                                     : mps::Phase::kOther);
+      world.barrier();
+    });
+    FAIL() << "expected CollectiveMismatchError";
+  } catch (const mps::CollectiveMismatchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("barrier #1 [Solver]"), std::string::npos) << what;
+    EXPECT_NE(what.find("barrier #1 [Other]"), std::string::npos) << what;
+  }
+}
+
 TEST(FaultInjection, WatchdogConvertsAStalledRankIntoBoundedDiagnostic) {
   const auto start = std::chrono::steady_clock::now();
   try {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mpsim/comm.hpp"
+#include "mpsim/fault.hpp"
 #include "mpsim/runtime.hpp"
 
 namespace drcm::mps {
@@ -218,6 +219,159 @@ TEST_P(CollectivesTest, EmptyContributionsAreLegal) {
     const auto recv = comm.alltoallv(send);
     EXPECT_TRUE(recv.empty());
   });
+}
+
+TEST(BoardReuse, BackToBackMixedCollectivesWithASlowReader) {
+  // Double-buffered boards: a collective publishes on board[c % 2] and
+  // reads it after crossing c, so a fast rank's next publish lands on the
+  // OTHER board, and it cannot write this one again before every rank has
+  // arrived at crossing c + 1. Here every collective kind runs back to
+  // back — allreduce, alltoallv, allgatherv, split (+ a sub-communicator
+  // allreduce), the fused three-superstep level and the fused
+  // five-superstep ordering level — while rank 1 sleeps after every
+  // crossing, before the reads it opens. A board-reuse bug shows up as a
+  // wrong value on the slow rank.
+  constexpr int kIterations = 40;
+  for (const int p : {4, 9}) {
+    FaultPlan perturb;
+    perturb.delay_reads(1);
+    RunOptions options;
+    options.faults = &perturb;
+    Runtime::run(
+        p,
+        [&](Comm& world) {
+          const int me = world.rank();
+          std::vector<std::int64_t> gather_buf, recv_buf, rank_recv_buf;
+          std::vector<std::vector<std::int64_t>> route_buf, rank_route_buf;
+          std::vector<int> carry_buf, carry_all;
+          std::vector<std::vector<std::int64_t>> sort_route_buf;
+          std::vector<std::int64_t> sort_recv_buf;
+          for (int i = 0; i < kIterations; ++i) {
+            const auto sum = world.allreduce(
+                static_cast<std::int64_t>(me + i),
+                [](std::int64_t x, std::int64_t y) { return x + y; });
+            EXPECT_EQ(sum, static_cast<std::int64_t>(p) * i + p * (p - 1) / 2);
+
+            std::vector<std::vector<std::int64_t>> send(
+                static_cast<std::size_t>(p));
+            for (int d = 0; d < p; ++d) {
+              send[static_cast<std::size_t>(d)].assign(
+                  static_cast<std::size_t>((me + d + i) % 3 + 1),
+                  me * 1000 + d + i);
+            }
+            std::vector<std::int64_t> counts;
+            const auto recv = world.alltoallv(send, &counts);
+            std::size_t at = 0;
+            for (int s = 0; s < p; ++s) {
+              const auto c = static_cast<std::size_t>((s + me + i) % 3 + 1);
+              ASSERT_EQ(counts[static_cast<std::size_t>(s)],
+                        static_cast<std::int64_t>(c));
+              for (std::size_t k = 0; k < c; ++k) {
+                EXPECT_EQ(recv[at++], s * 1000 + me + i);
+              }
+            }
+
+            const std::vector<std::int64_t> mine(
+                static_cast<std::size_t>((me + i) % 4), me * 100 + i);
+            const auto all =
+                world.allgatherv(std::span<const std::int64_t>(mine));
+            at = 0;
+            for (int r = 0; r < p; ++r) {
+              for (int k = 0; k < (r + i) % 4; ++k) {
+                EXPECT_EQ(all[at++], r * 100 + i);
+              }
+            }
+            EXPECT_EQ(at, all.size());
+
+            Comm sub = world.split((me + i) % 2, -me);
+            int members = 0, rank_in_sub = 0;
+            for (int r = 0; r < p; ++r) {
+              if ((r + i) % 2 != (me + i) % 2) continue;
+              ++members;
+              if (r > me) ++rank_in_sub;  // key -rank: descending world rank
+            }
+            EXPECT_EQ(sub.size(), members);
+            EXPECT_EQ(sub.rank(), rank_in_sub);
+            const auto sub_sum =
+                sub.allreduce(me, [](int x, int y) { return x + y; });
+            int want = 0;
+            for (int r = 0; r < p; ++r) {
+              if ((r + i) % 2 == (me + i) % 2) want += r;
+            }
+            EXPECT_EQ(sub_sum, want);
+
+            std::vector<int> peers(static_cast<std::size_t>(p));
+            std::iota(peers.begin(), peers.end(), 0);
+            const std::int64_t local[] = {me * 10 + i};
+            const auto route = [&](const std::vector<std::int64_t>& gathered,
+                                   std::vector<std::vector<std::int64_t>>& out) {
+              out.assign(static_cast<std::size_t>(p), {});
+              for (int r = 0; r < p; ++r) {
+                EXPECT_EQ(gathered[static_cast<std::size_t>(r)], r * 10 + i);
+                out[static_cast<std::size_t>(r)] = {gathered[static_cast<std::size_t>(r)] + 1};
+              }
+            };
+            const auto check_routed = [&](const std::vector<std::int64_t>& got) {
+              EXPECT_EQ(got.size(), static_cast<std::size_t>(p));
+              for (const auto v : got) EXPECT_EQ(v, me * 10 + i + 1);
+            };
+            const auto level_total = world.fused_gather_route_count(
+                std::span<const int>(peers), std::span<const std::int64_t>(local),
+                gather_buf, route_buf, recv_buf, route,
+                [&](const std::vector<std::int64_t>& got) -> std::int64_t {
+                  check_routed(got);
+                  return static_cast<std::int64_t>(got.size());
+                });
+            EXPECT_EQ(level_total, static_cast<std::int64_t>(p) * p);
+
+            const auto order_total = world.fused_order_level(
+                std::span<const int>(peers), std::span<const std::int64_t>(local),
+                gather_buf, route_buf, recv_buf, carry_buf, carry_all,
+                sort_route_buf, sort_recv_buf, rank_route_buf, rank_recv_buf,
+                route,
+                [&](const std::vector<std::int64_t>& got,
+                    std::vector<int>& carry) -> std::int64_t {
+                  check_routed(got);
+                  carry = {me, i};
+                  return static_cast<std::int64_t>(got.size());
+                },
+                [&](std::int64_t total, const std::vector<int>& carries,
+                    std::vector<std::vector<std::int64_t>>& out) {
+                  EXPECT_EQ(total, static_cast<std::int64_t>(p) * p);
+                  ASSERT_EQ(carries.size(), static_cast<std::size_t>(2 * p));
+                  for (int r = 0; r < p; ++r) {
+                    EXPECT_EQ(carries[static_cast<std::size_t>(2 * r)], r);
+                    EXPECT_EQ(carries[static_cast<std::size_t>(2 * r + 1)], i);
+                  }
+                  out.assign(static_cast<std::size_t>(p), {});
+                  for (int d = 0; d < p; ++d) {
+                    out[static_cast<std::size_t>(d)] = {me * 7 + d + i};
+                  }
+                },
+                [&](const std::vector<std::int64_t>& got,
+                    std::span<const std::uint64_t> per_source,
+                    std::vector<std::vector<std::int64_t>>& out) {
+                  ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+                  for (int s = 0; s < p; ++s) {
+                    EXPECT_EQ(per_source[static_cast<std::size_t>(s)], 1u);
+                    EXPECT_EQ(got[static_cast<std::size_t>(s)], s * 7 + me + i);
+                  }
+                  out.assign(static_cast<std::size_t>(p), {});
+                  for (int d = 0; d < p; ++d) {
+                    out[static_cast<std::size_t>(d)] = {me * 3 + d + i};
+                  }
+                },
+                [&](const std::vector<std::int64_t>& got) {
+                  ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+                  for (int s = 0; s < p; ++s) {
+                    EXPECT_EQ(got[static_cast<std::size_t>(s)], s * 3 + me + i);
+                  }
+                });
+            EXPECT_EQ(order_total, static_cast<std::int64_t>(p) * p);
+          }
+        },
+        options);
+  }
 }
 
 }  // namespace

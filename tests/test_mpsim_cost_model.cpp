@@ -1,7 +1,7 @@
 // Unit tests for the alpha-beta-gamma cost model formulas, plus the
 // barrier-crossing ledger that pins the fused kernels' synchrony budgets:
-// 3 crossings per BFS level (vs the unfused chain's 8) and 5 per whole
-// ordering level (vs 3 + SORTPERM's 6 = 9) — and the trace model's
+// 3 crossings per BFS level (vs the unfused chain's 4) and 5 per whole
+// ordering level (vs 3 + SORTPERM's 3 = 6) — and the trace model's
 // analytic crossing prediction against a real p=4 run's ledger.
 #include "mpsim/cost_model.hpp"
 
@@ -13,6 +13,7 @@
 #include "rcm/rcm_driver.hpp"
 #include "rcm/trace_model.hpp"
 #include "service/service.hpp"
+#include "solver/dist_cg.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/pattern_delta.hpp"
 
@@ -95,7 +96,11 @@ TEST(CostModel, CommCostAccumulates) {
   EXPECT_EQ(a.words, 10u);
 }
 
-TEST(CrossingLedger, EveryCollectiveIsTwoCrossingsBarrierIsOne) {
+TEST(CrossingLedger, EveryPlainCollectiveIsOneCrossingSplitIsTwo) {
+  // Double-buffered boards: a plain collective publishes, crosses once and
+  // reads; the parity rule makes the old trailing "everyone has read"
+  // crossing redundant. split keeps two (rank 0 builds the child contexts
+  // between them). The collectives ledger counts calls, not crossings.
   const auto report = Runtime::run(4, [](Comm& world) {
     {
       PhaseScope scope(world, Phase::kSolver);
@@ -103,19 +108,38 @@ TEST(CrossingLedger, EveryCollectiveIsTwoCrossingsBarrierIsOne) {
     }
     {
       PhaseScope scope(world, Phase::kOther);
-      world.allreduce(1, [](int a, int b) { return a + b; });  // 2 crossings
-      world.allgatherv(std::span<const int>{});                // 2 crossings
+      world.allreduce(1, [](int a, int b) { return a + b; });  // 1 crossing
+      world.allgather(1);                                       // 1 crossing
+      world.allgatherv(std::span<const int>{});                // 1 crossing
+      std::vector<int> v{world.rank()};
+      world.bcast(v, 0);                                        // 1 crossing
+      world.exscan_sum(1);                                      // 1 crossing
+      world.gatherv(std::span<const int>(v), 0);                // 1 crossing
+      world.scatterv(std::vector<std::vector<int>>(4), 0);      // 1 crossing
+      world.reduce(1, [](int a, int b) { return a + b; }, 0);  // 1 crossing
+      world.pairwise_exchange(3 - world.rank(),
+                              std::span<const int>(v));         // 1 crossing
+      world.alltoallv(std::vector<std::vector<int>>(4));        // 1 crossing
+    }
+    {
+      PhaseScope scope(world, Phase::kRedistribute);
+      world.split(world.rank() % 2, world.rank());  // 2 crossings
     }
   });
   EXPECT_EQ(report.aggregate(Phase::kSolver).max.barrier_crossings, 1u);
-  EXPECT_EQ(report.aggregate(Phase::kOther).max.barrier_crossings, 4u);
+  EXPECT_EQ(report.aggregate(Phase::kOther).max.barrier_crossings, 10u);
+  EXPECT_EQ(report.aggregate(Phase::kRedistribute).max.barrier_crossings, 2u);
+  EXPECT_EQ(report.aggregate(Phase::kSolver).max.collectives, 1u);
+  EXPECT_EQ(report.aggregate(Phase::kOther).max.collectives, 10u);
+  EXPECT_EQ(report.aggregate(Phase::kRedistribute).max.collectives, 1u);
 }
 
 TEST(CrossingLedger, FusedLevelKernelChargesAtMostThreeCrossingsPerLevel) {
-  // The tentpole claim: one BFS level through dist::bfs_level_step costs
-  // THREE barrier crossings; the unfused primitive chain (gather ->
+  // One BFS level through dist::bfs_level_step costs THREE barrier
+  // crossings in ONE collective; the unfused primitive chain (gather ->
   // SpMSpV's allgatherv + alltoallv + pairwise -> SELECT -> emptiness
-  // allreduce) costs eight. Distinct phases isolate each path's ledger.
+  // allreduce) costs four collectives of one crossing each. Distinct phases
+  // isolate each path's ledger.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -139,7 +163,13 @@ TEST(CrossingLedger, FusedLevelKernelChargesAtMostThreeCrossingsPerLevel) {
       report.aggregate(Phase::kPeripheralSpmspv).max.barrier_crossings +
       report.aggregate(Phase::kPeripheralOther).max.barrier_crossings;
   EXPECT_EQ(fused, 3u) << "the fused kernel's synchrony budget";
-  EXPECT_EQ(unfused, 8u) << "the unfused chain's per-level baseline";
+  EXPECT_EQ(unfused, 4u) << "the unfused chain's per-level baseline";
+  EXPECT_EQ(report.aggregate(Phase::kOrderingSpmspv).max.collectives +
+                report.aggregate(Phase::kOrderingOther).max.collectives,
+            1u);
+  EXPECT_EQ(report.aggregate(Phase::kPeripheralSpmspv).max.collectives +
+                report.aggregate(Phase::kPeripheralOther).max.collectives,
+            4u);
 }
 
 TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
@@ -147,8 +177,8 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
   // (BFS level + SORTPERM + label scatter) through dist::cm_level_step
   // costs FIVE barrier crossings — three for the level kernel head, two
   // for the fused sort tail — while the unfused reference pays the level
-  // kernel's 3 plus the standalone SORTPERM's 6 (allgatherv + two
-  // alltoallvs) = 9. Distinct phases isolate each path's ledger; the
+  // kernel's 3 plus the standalone SORTPERM's 3 (allgatherv + two
+  // alltoallvs, one crossing each) = 6. Distinct phases isolate each path's ledger; the
   // unfused arm parks its sort crossings on kSolver.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
@@ -184,8 +214,8 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
   EXPECT_LE(fused, 5u) << "the fused ordering level's synchrony contract";
   EXPECT_EQ(fused, 5u) << "3 level-kernel crossings + 2 sort crossings";
   EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.barrier_crossings, 2u);
-  EXPECT_EQ(unfused_sort, 6u) << "the standalone SORTPERM's three collectives";
-  EXPECT_EQ(unfused, 9u) << "the unfused ordering level's baseline";
+  EXPECT_EQ(unfused_sort, 3u) << "the standalone SORTPERM's three collectives";
+  EXPECT_EQ(unfused, 6u) << "the unfused ordering level's baseline";
 }
 
 TEST(CrossingLedger, TerminalOrderingLevelSkipsTheSortTail) {
@@ -302,8 +332,8 @@ TEST(CrossingLedger, TraceModelPredictsTheHybridLedger) {
 
 TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   // The one-shot tentpole pin: everything charged to Phase::kRedistribute
-  // in an ordered_solve is ONE fused matrix alltoallv (2 crossings), the
-  // folded bandwidth allreduce (2) and the rhs slab alltoallv (2) — six
+  // in an ordered_solve is ONE fused matrix alltoallv (1 crossing), the
+  // folded bandwidth allreduce (1) and the rhs slab alltoallv (1) — three
   // crossings total, with the grid's communicator splits deliberately
   // constructed outside the phase. Any second matrix redistribution
   // sneaking into the pipeline moves this exact count.
@@ -315,8 +345,71 @@ TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   }
   const auto fused = rcm::run_ordered_solve(4, a, b, true);
   EXPECT_EQ(fused.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
-            6u)
+            3u)
       << "one-shot: matrix alltoallv + bandwidth allreduce + rhs alltoallv";
+}
+
+TEST(CrossingLedger, CgIterationIsThreeCrossings) {
+  // One PCG iteration is the halo alltoallv, the p·Ap allreduce and ONE
+  // 2-word allreduce carrying the next iteration's r·r with r·z: three
+  // collectives of one crossing each (it was eight: four collectives of
+  // two). Solves capped one iteration apart differ by exactly that.
+  const auto a = sparse::gen::with_laplacian_values(sparse::gen::grid2d(12, 12));
+  const std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
+  const auto solver_ledger = [&](int max_iterations) {
+    solver::CgOptions options;
+    options.rtol = 1e-300;  // never converges: every solve runs to the cap
+    options.max_iterations = max_iterations;
+    const auto report = Runtime::run(4, [&](Comm& world) {
+      std::vector<double> x;
+      const auto res = solver::dist_pcg(world, a, b, x, true, options);
+      EXPECT_EQ(res.iterations, max_iterations);
+    });
+    return report.aggregate(Phase::kSolver).max;
+  };
+  const auto five = solver_ledger(5);
+  const auto six = solver_ledger(6);
+  EXPECT_EQ(six.barrier_crossings - five.barrier_crossings, 3u);
+  EXPECT_EQ(six.collectives - five.collectives, 3u);
+}
+
+TEST(CrossingLedger, CollectivesLedgerMovesOnlyByTheRemovedDots) {
+  // The `collectives` ledger counts Comm collective calls: the paper's
+  // latency count, blind to how many crossings each costs. Pinned per
+  // phase against the values the two-crossing-board implementation
+  // recorded on this fixture: ordering and redistribution are unchanged,
+  // and kSolver drops by exactly the dots PCG no longer runs — one r·r per
+  // iteration, the convergence check's r·r, and the separate initial r·z
+  // (iterations + 2).
+  const auto a = sparse::gen::with_laplacian_values(
+      sparse::gen::relabel_random(sparse::gen::grid2d(10, 10), 3), 0.02);
+  std::vector<double> b(static_cast<std::size_t>(a.n()));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + static_cast<double>(i % 7);
+  }
+  struct Pin {
+    int ranks;
+    std::uint64_t solver_before;  // kSolver collectives, three dots/iteration
+  };
+  for (const Pin pin : {Pin{1, 80}, Pin{4, 128}, Pin{9, 176}}) {
+    const auto run = rcm::run_ordered_solve(pin.ranks, a, b, true);
+    const auto coll = [&](Phase phase) {
+      return run.report.aggregate(phase).max.collectives;
+    };
+    EXPECT_EQ(coll(Phase::kPeripheralSpmspv), 38u) << "p=" << pin.ranks;
+    EXPECT_EQ(coll(Phase::kPeripheralOther), 2u) << "p=" << pin.ranks;
+    EXPECT_EQ(coll(Phase::kOrderingSpmspv), 19u) << "p=" << pin.ranks;
+    EXPECT_EQ(coll(Phase::kOrderingSort), 0u) << "p=" << pin.ranks;
+    EXPECT_EQ(coll(Phase::kOrderingOther), 1u) << "p=" << pin.ranks;
+    EXPECT_EQ(coll(Phase::kRedistribute), 3u) << "p=" << pin.ranks;
+    const auto removed =
+        static_cast<std::uint64_t>(run.result.cg.iterations) + 2;
+    EXPECT_EQ(coll(Phase::kSolver), pin.solver_before - removed)
+        << "p=" << pin.ranks;
+    // Every solver collective is a plain one: one crossing each.
+    EXPECT_EQ(run.report.aggregate(Phase::kSolver).max.barrier_crossings,
+              coll(Phase::kSolver));
+  }
 }
 
 TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
@@ -353,7 +446,7 @@ TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
     EXPECT_EQ(ranked.entries().size(), mine.size());
   });
   const auto& sort = report.aggregate(Phase::kOrderingSort).max;
-  EXPECT_EQ(sort.barrier_crossings, 6u)
+  EXPECT_EQ(sort.barrier_crossings, 3u)
       << "standalone SORTPERM: histogram allgatherv + deal + scatter-back";
   EXPECT_GT(sort.words, 0u);
   EXPECT_LT(sort.words, 4u * static_cast<std::uint64_t>(kN))
@@ -368,8 +461,8 @@ TEST(CrossingLedger, RepairHitIsPricedStrictlyBetweenHitAndCold) {
   // with the delta confined to the small component, so the big component
   // reuses (peripheral search + every level step skipped) and the plan is
   // deterministically profitable. plan_repair's conservative margin
-  // arithmetic (+6 per reused component, +5*(cone_level-1) - 2 per cone,
-  // -2 per recompute) guarantees the strict inequality whenever a repair
+  // arithmetic (+6 per reused component, +5*(cone_level-1) - 1 per cone,
+  // -1 per recompute) guarantees the strict inequality whenever a repair
   // is scheduled; this test keeps that guarantee tied to the ledger.
   // Window-aligned sizes (n = 400, window width 25): the small component
   // fills windows 14..15 exactly, so its dirty windows never bleed onto
