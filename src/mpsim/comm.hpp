@@ -297,9 +297,9 @@ class Comm {
   /// ranked by (key, old rank).
   Comm split(int color, int key);
 
-  /// Charges `seconds` of modeled dead time (an injected stall, a recovery
-  /// backoff) to the current phase without any work units: the time shows
-  /// up in the modeled makespan, the unit ledger stays honest.
+  /// Charges `seconds` of modeled dead time (an injected stall) to the
+  /// current phase without any work units: the time shows up in the
+  /// modeled makespan, the unit ledger stays honest.
   void charge_stall(double modeled_seconds);
 
   /// Charges `units` of scalar work to the current phase. The raw unit

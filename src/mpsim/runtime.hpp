@@ -39,9 +39,9 @@ struct SpmdReport {
 
   /// Folds another run's per-rank ledgers into this report (rank-wise;
   /// the reports must have the same rank count, or this one must still be
-  /// empty). The recoverable driver uses this so the cost of abandoned
-  /// attempts — including injected stalls and retry backoff — stays on
-  /// the final bill instead of vanishing with the failed run.
+  /// empty). The reordering service uses this so the cost of abandoned
+  /// launches — including injected stalls — stays on the cumulative bill
+  /// instead of vanishing with the failed run.
   void merge_from(const SpmdReport& other);
 };
 
@@ -60,8 +60,8 @@ struct RunOptions {
   double watchdog_seconds = 0.0;
   /// When a rank throws, the runtime rethrows on the caller's thread and
   /// the run's SpmdReport is never returned. If non-null, the partial
-  /// per-rank ledgers are copied here before the rethrow so a recoverable
-  /// driver can still charge the abandoned attempt's cost.
+  /// per-rank ledgers are copied here before the rethrow so a recovering
+  /// caller can still charge the abandoned attempt's cost.
   SpmdReport* report_on_error = nullptr;
 };
 

@@ -82,9 +82,10 @@ class StatsRecorder {
   PhaseTotals total() const;
 
   /// Folds another recorder into this one: phase totals add, the resident
-  /// high-water mark takes the max. This is how the recoverable driver
-  /// charges abandoned attempts to the final ledger — a retried stage's
-  /// cost is real cost, so recovery reports the sum over attempts.
+  /// high-water mark takes the max. This is how the reordering service
+  /// folds each request's ledger into its lane rank's running totals and
+  /// abandoned launches into its cumulative report — a relaunch's cost is
+  /// real cost, so recovery reports the sum over attempts.
   void merge_from(const StatsRecorder& other);
 
   void reset();

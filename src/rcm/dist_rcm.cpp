@@ -42,7 +42,6 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
                      dist::ProcGrid2D& grid, SortKind sort,
                      dist::SpmspvAccumulator acc, bool fuse_ordering,
                      std::vector<index_t>* level_starts, index_t label_cap) {
-  auto& world = grid.world();
   // The sample-sort baseline cannot ride the level collective (a comparison
   // sort has no histogram to piggyback), so it always takes the reference
   // chain.

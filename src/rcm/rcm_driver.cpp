@@ -1,11 +1,7 @@
 #include "rcm/rcm_driver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <exception>
-#include <functional>
-#include <string>
 
 #include "dist/level_kernel.hpp"
 #include "dist/primitives.hpp"
@@ -543,62 +539,6 @@ std::uint64_t resident_budget(nnz_t nnz, int p, index_t n) {
          4096;
 }
 
-/// Stage 2 of the pipeline: route every relabeled entry of this rank's
-/// balanced-2D block straight to its 1D solver owner in one alltoallv.
-/// Collective; `labels` must be the replicated stage-1 output. The grid is
-/// built by the CALLER, outside the phase scope below: its two Comm::split
-/// calls are collectives of their own, and keeping them out pins the
-/// kRedistribute crossing count to exactly the redistribution traffic
-/// (alltoallv + bandwidth allreduce = 2 crossings).
-dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
-                                          dist::ProcGrid2D& grid,
-                                          const sparse::CsrMatrix& a,
-                                          const std::vector<index_t>& labels) {
-  mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-  return dist::redistribute_to_row_blocks(a, labels, grid);
-}
-
-struct SolveOut {
-  solver::CgResult cg;
-  std::vector<double> x_local;  ///< this rank's slab, PERMUTED rows
-};
-
-/// Stage 3 of the pipeline: distribute the rhs, run the distributed
-/// solver, return this rank's solution slab. The rhs goes fixture ->
-/// O(n/p) 2D slab -> one alltoallv -> O(n/p) solver slab; the inverse
-/// labeling scan and the replicated permuted rhs of the old path are gone,
-/// and the solution never leaves slab form inside the SPMD body.
-/// Collective; `block` is the checkpointed stage-2 row block of this rank,
-/// `grid` the caller's (its workspace stages the rhs exchange, so repeat
-/// solves on a persistent grid reallocate nothing).
-SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
-                     const dist::RowBlockCsr& block,
-                     const std::vector<index_t>& labels,
-                     std::span<const double> b, bool precondition,
-                     const solver::CgOptions& cg_options) {
-  std::vector<double> b_local;
-  {
-    mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-    // My arithmetic O(n/p) window of the pre-distribution rhs fixture,
-    // permuted and re-owned by the same routing rule as the matrix.
-    dist::DistDenseVecD b_dist(dist::VectorDist(n, grid.q()), grid, 0.0);
-    for (index_t g = b_dist.lo(); g < b_dist.hi(); ++g) {
-      b_dist.set(g, b[static_cast<std::size_t>(g)]);
-    }
-    world.charge_compute(static_cast<double>(b_dist.local_size()));
-    b_local = dist::redistribute_to_row_slab(b_dist, labels, world,
-                                             &grid.workspace());
-    world.note_resident(block.resident_elements() +
-                        4 * static_cast<std::uint64_t>(b_dist.local_size()) +
-                        4 * b_local.size());
-  }
-
-  SolveOut out;
-  out.cg = solver::dist_pcg(world, block, b_local, out.x_local, precondition,
-                            cg_options);
-  return out;
-}
-
 }  // namespace
 
 // The row blocks are contiguous, so rank-order concatenation IS the
@@ -637,10 +577,10 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
   OrderedSolveResult out;
   const std::vector<index_t>* labels = spec.labels;
   if (labels != nullptr) {
-    // The ordering-cache HIT path: stage 1 skipped, redistribution runs
-    // under the KNOWN labels. `out.labels` stays EMPTY — the caller already
-    // holds the labels (that is why it could skip stage 1), and the
-    // no-gather body has no business replicating them again.
+    // Stage 1 skipped (a cache hit, a repair, or the serving layer's own
+    // ordering): redistribution runs under the KNOWN labels. `out.labels`
+    // stays EMPTY — the caller already holds the labels, and the no-gather
+    // body has no business replicating them again.
     DRCM_CHECK(labels->size() == static_cast<std::size_t>(n),
                "labels must cover every vertex");
   } else {
@@ -649,23 +589,46 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
     // it in; otherwise each rank strips its own transient copy. dist_order
     // dispatches on spec.rcm.ordering — the whole portfolio flows through
     // the one pipeline.
-    if (spec.adjacency) {
-      out.labels =
-          dist_order(world, *spec.adjacency, spec.rcm, nullptr, spec.recipe);
-    } else {
-      out.labels = dist_order(world, a.strip_diagonal(), spec.rcm, nullptr,
-                              spec.recipe);
-    }
+    out.labels = spec.adjacency ? dist_order(world, *spec.adjacency, spec.rcm)
+                                : dist_order(world, a.strip_diagonal(), spec.rcm);
     labels = &out.labels;
   }
 
-  const auto redist = redistribute_stage(world, grid, a, *labels);
+  // Stage 2: route every relabeled entry of this rank's balanced-2D block
+  // straight to its 1D solver owner in one alltoallv. The grid was built
+  // by the CALLER, outside this phase scope: its two Comm::split calls are
+  // collectives of their own, and keeping them out pins the kRedistribute
+  // crossing count to exactly the redistribution traffic (alltoallv +
+  // bandwidth allreduce = 2 crossings).
+  dist::OneShotRowBlocks redist;
+  {
+    mps::PhaseScope scope(world, mps::Phase::kRedistribute);
+    redist = dist::redistribute_to_row_blocks(a, *labels, grid);
+  }
   out.permuted_bandwidth = redist.bandwidth;
 
-  auto solved = solve_stage(world, grid, n, redist.block, *labels, spec.b,
+  // Stage 3: distribute the rhs and solve. The rhs goes fixture -> O(n/p)
+  // 2D slab -> one alltoallv -> O(n/p) solver slab (the grid's workspace
+  // stages the exchange, so repeat solves on a persistent grid reallocate
+  // nothing), and the solution never leaves slab form inside the body.
+  std::vector<double> b_local;
+  {
+    mps::PhaseScope scope(world, mps::Phase::kRedistribute);
+    // My arithmetic O(n/p) window of the pre-distribution rhs fixture,
+    // permuted and re-owned by the same routing rule as the matrix.
+    dist::DistDenseVecD b_dist(dist::VectorDist(n, grid.q()), grid, 0.0);
+    for (index_t g = b_dist.lo(); g < b_dist.hi(); ++g) {
+      b_dist.set(g, spec.b[static_cast<std::size_t>(g)]);
+    }
+    world.charge_compute(static_cast<double>(b_dist.local_size()));
+    b_local = dist::redistribute_to_row_slab(b_dist, *labels, world,
+                                             &grid.workspace());
+    world.note_resident(redist.block.resident_elements() +
+                        4 * static_cast<std::uint64_t>(b_dist.local_size()) +
+                        4 * b_local.size());
+  }
+  out.cg = solver::dist_pcg(world, redist.block, b_local, out.x_local,
                             spec.precondition, spec.cg);
-  out.cg = solved.cg;
-  out.x_local = std::move(solved.x_local);
   out.x_lo = redist.block.lo;
 
   // The scalability contract, O(nnz/p + n/p) end to end: the one-shot
@@ -706,7 +669,7 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
   // be built concurrently inside the bodies.
   const auto adjacency = a.strip_diagonal();
   OrderedSolveRun run;
-  // Per-rank solution slabs, deposited like checkpoints: the replicated
+  // Per-rank solution slabs, deposited driver-side: the replicated
   // ORIGINAL-numbering x is assembled OUTSIDE the SPMD run, so no rank's
   // resident ledger ever holds an O(n) value vector.
   std::vector<std::vector<double>> slabs(static_cast<std::size_t>(nranks));
@@ -725,215 +688,13 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
   return run;
 }
 
-OrderedSolveRecoverableRun run_ordered_solve_recoverable(
-    int nranks, const OrderedSolveSpec& spec, const RecoveryOptions& recovery) {
-  DRCM_CHECK(spec.matrix != nullptr, "ordered_solve needs a matrix");
-  const sparse::CsrMatrix& a = *spec.matrix;
-  const std::span<const double> b = spec.b;
-  const bool precondition = spec.precondition;
-  const DistRcmOptions& rcm_options = spec.rcm;
-  const solver::CgOptions& cg_options = spec.cg;
-  DRCM_CHECK(a.has_values() || a.nnz() == 0,
-             "ordered_solve needs a solver matrix with values");
-  DRCM_CHECK(b.size() == static_cast<std::size_t>(a.n()), "rhs size mismatch");
-  DRCM_CHECK(recovery.max_attempts >= 1, "need at least one attempt");
-  const index_t n = a.n();
-  const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
-  DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
-  const std::uint64_t budget = resident_budget(a.nnz(), nranks, n);
-  const int threads = resolve_threads(rcm_options.threads);
-  // The runner owns its own checkpoints: spec.labels / spec.recipe are not
-  // consumed here (documented in the header), and the adjacency is stripped
-  // once outside the ranks when the caller did not supply it.
-  sparse::CsrMatrix stripped;
-  if (!spec.adjacency) stripped = a.strip_diagonal();
-  const sparse::CsrMatrix& adjacency =
-      spec.adjacency ? *spec.adjacency : stripped;
-
-  OrderedSolveRecoverableRun run;
-
-  // Launches one stage as its own SPMD run, retrying from the current
-  // checkpoints on failure. Two failure modes feed the same retry loop:
-  // an exception out of the run (rank death, injected allocation failure,
-  // watchdog timeout, a structural DRCM_CHECK tripped by a corrupted
-  // payload) and a validation failure on the checkpointed output (silent
-  // corruption that produced structurally plausible garbage). Faults are
-  // one-shot, so a retry replays the stage on clean inputs.
-  const auto run_stage = [&](const char* stage,
-                             const std::function<void(mps::Comm&)>& body,
-                             const std::function<std::string()>& validate) {
-    for (int attempt = 1;; ++attempt) {
-      mps::RunOptions options;
-      options.machine = recovery.machine;
-      options.threads_per_rank = threads;
-      options.faults = recovery.faults;
-      options.watchdog_seconds = recovery.watchdog_seconds;
-      mps::SpmdReport partial;
-      options.report_on_error = &partial;
-
-      std::string failure;
-      std::exception_ptr error;
-      ++run.runs;
-      try {
-        const auto report = mps::Runtime::run(
-            nranks,
-            [&](mps::Comm& world) {
-              if (attempt > 1) {
-                // Retry backoff, charged as modeled stall time so recovery
-                // cost appears in the merged ledger.
-                world.charge_stall(recovery.backoff_modeled_seconds *
-                                   (attempt - 1));
-              }
-              body(world);
-            },
-            options);
-        run.report.merge_from(report);
-        DRCM_CHECK(report.max_peak_resident() <= budget,
-                   "per-rank resident peak exceeded O(nnz/p + n/p)");
-        failure = validate();
-        if (failure.empty()) return;
-      } catch (const std::exception& e) {
-        if (!partial.ranks.empty()) run.report.merge_from(partial);
-        failure = e.what();
-        error = std::current_exception();
-      }
-      run.fault_log.push_back(std::string(stage) + " attempt " +
-                              std::to_string(attempt) + ": " + failure);
-      if (attempt >= recovery.max_attempts) {
-        if (error) std::rethrow_exception(error);
-        throw CheckError("ordered_solve " + std::string(stage) +
-                         " stage failed validation after " +
-                         std::to_string(attempt) + " attempts: " + failure);
-      }
-    }
-  };
-
-  // Stage 1: ordering — via dist_order, so the whole portfolio (RCM,
-  // Sloan, GPS, auto) is recoverable. Checkpoint: the replicated labels.
-  std::vector<index_t> labels;
-  run_stage(
-      "ordering",
-      [&](mps::Comm& world) {
-        auto result = dist_order(world, adjacency, rcm_options);
-        if (world.rank() == 0) labels = std::move(result);
-      },
-      [&]() -> std::string {
-        // A corrupted index payload that survived the run shows up here:
-        // RCM labels must be a permutation of [0, n).
-        if (labels.size() != static_cast<std::size_t>(n)) {
-          return "ordering produced " + std::to_string(labels.size()) +
-                 " labels for n=" + std::to_string(n);
-        }
-        if (!sparse::is_valid_permutation(labels)) {
-          return "ordering labels are not a permutation of [0, n)";
-        }
-        return {};
-      });
-
-  // Stage 2: redistribute. Checkpoint: one row block per rank (simulated
-  // ranks share the address space, so the driver can hold them directly)
-  // plus the permuted bandwidth.
-  std::vector<dist::RowBlockCsr> blocks(static_cast<std::size_t>(nranks));
-  index_t bandwidth = 0;
-  run_stage(
-      "redistribute",
-      [&](mps::Comm& world) {
-        dist::ProcGrid2D grid(world);
-        auto result = redistribute_stage(world, grid, a, labels);
-        blocks[static_cast<std::size_t>(world.rank())] =
-            std::move(result.block);
-        if (world.rank() == 0) bandwidth = result.bandwidth;
-      },
-      [&]() -> std::string {
-        index_t rows = 0;
-        nnz_t nnz = 0;
-        index_t expect_lo = 0;
-        for (const auto& blk : blocks) {
-          if (blk.n != n || blk.lo != expect_lo || blk.hi < blk.lo) {
-            return "redistribute produced a non-contiguous row partition";
-          }
-          expect_lo = blk.hi;
-          rows += blk.local_rows();
-          nnz += blk.local_nnz();
-          for (const double v : blk.vals) {
-            if (!std::isfinite(v)) {
-              return "redistribute produced non-finite matrix values";
-            }
-          }
-        }
-        if (rows != n || expect_lo != n) {
-          return "redistribute lost rows: covered " + std::to_string(rows) +
-                 " of " + std::to_string(n);
-        }
-        if (nnz != a.nnz()) {
-          return "redistribute lost entries: " + std::to_string(nnz) +
-                 " of " + std::to_string(a.nnz());
-        }
-        return {};
-      });
-
-  // Stage 3: solve from the checkpointed blocks. kNanInf is the retryable
-  // solver outcome (a poisoned recurrence); every other status is a
-  // structured result the caller branches on. The per-rank solution slabs
-  // are deposited like checkpoints; the replicated ORIGINAL-numbering x is
-  // assembled outside the ranks.
-  std::vector<std::vector<double>> slabs(static_cast<std::size_t>(nranks));
-  run_stage(
-      "solve",
-      [&](mps::Comm& world) {
-        dist::ProcGrid2D grid(world);
-        auto result =
-            solve_stage(world, grid, n,
-                        blocks[static_cast<std::size_t>(world.rank())], labels,
-                        b, precondition, cg_options);
-        slabs[static_cast<std::size_t>(world.rank())] =
-            std::move(result.x_local);
-        if (world.rank() == 0) run.result.cg = result.cg;
-      },
-      [&]() -> std::string {
-        if (run.result.cg.status == solver::SolveStatus::kNanInf) {
-          return "solver reported nan-inf (poisoned recurrence)";
-        }
-        return {};
-      });
-
-  run.result.x = assemble_solution(slabs, labels);
-  run.result.x_local = std::move(slabs[0]);  // rank 0's own slab
-  run.result.x_lo = 0;
-  run.result.labels = std::move(labels);
-  run.result.permuted_bandwidth = bandwidth;
-  return run;
-}
-
-OrderedSolveRecoverableRun run_ordered_solve_recoverable(
-    int nranks, const sparse::CsrMatrix& a, std::span<const double> b,
-    bool precondition, const DistRcmOptions& rcm_options,
-    const solver::CgOptions& cg_options, const RecoveryOptions& recovery) {
-  OrderedSolveSpec spec;
-  spec.matrix = &a;
-  spec.b = b;
-  spec.precondition = precondition;
-  spec.rcm = rcm_options;
-  spec.cg = cg_options;
-  return run_ordered_solve_recoverable(nranks, spec, recovery);
-}
-
 DistRcmRun run_dist_rcm(int nranks, const sparse::CsrMatrix& a,
                         const DistRcmOptions& options,
                         const mps::MachineParams& machine) {
-  DistRcmRun run;
-  run.report = mps::Runtime::run(
-      nranks,
-      [&](mps::Comm& world) {
-        DistRcmStats stats;
-        auto labels = dist_rcm(world, a, options, &stats);
-        if (world.rank() == 0) {
-          run.labels = std::move(labels);
-          run.stats = stats;
-        }
-      },
-      machine, resolve_threads(options.threads));
-  return run;
+  // dist_rcm's contract: always RCM, peripheral_mode honored.
+  DistRcmOptions pinned = options;
+  pinned.ordering.algorithm = OrderingAlgorithm::kRcm;
+  return run_dist_order(nranks, a, pinned, machine);
 }
 
 DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,

@@ -260,8 +260,7 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
 /// and ordered_solve asserts the per-rank peak stays O(nnz/p + n/p) (see
 /// rcm_driver.cpp for the constants). The labels themselves stay
 /// replicated: every consumer — the service cache, hits, repair, recipes,
-/// the Sloan/GPS/kAuto arms and the recoverable runner — takes them in
-/// that form.
+/// and the Sloan/GPS/kAuto arms — takes them in that form.
 struct OrderedSolveResult {
   /// RCM labels of the ORIGINAL numbering (labels[v] = new index of v).
   std::vector<index_t> labels;
@@ -282,9 +281,10 @@ struct OrderedSolveResult {
 };
 
 /// Everything one ordered solve needs, in one place — the parameter object
-/// the single pipeline core consumes. ordered_solve, run_ordered_solve and
-/// the recoverable runner are thin wrappers that populate one of these and
-/// delegate; the serving layer fills one per request directly.
+/// the single pipeline core consumes. ordered_solve and run_ordered_solve
+/// are thin wrappers that populate one of these and delegate; the serving
+/// layer orders each request itself (cache hit, repair or cold dist_order)
+/// and fills one with the labels set.
 struct OrderedSolveSpec {
   /// Replicated SPD input (values required, diagonal included) — the
   /// pre-distribution fixture the simulator starts from. Required.
@@ -298,16 +298,12 @@ struct OrderedSolveSpec {
   /// (run_* wrappers strip once outside the ranks; null makes each rank
   /// strip its own transient copy). Ignored when `labels` is set.
   const sparse::CsrMatrix* adjacency = nullptr;
-  /// When non-null: the ordering-cache HIT path. Stage 1 is skipped
-  /// entirely and redistribution runs under these KNOWN labels (a
-  /// permutation of [0, n)); the body executes ZERO collectives in the
-  /// five ordering phases and the result's `labels` stays empty (the
-  /// caller already holds them).
+  /// When non-null: labels the caller already holds (a cache hit, a
+  /// repair, or an ordering it ran itself). Stage 1 is skipped entirely
+  /// and redistribution runs under these KNOWN labels (a permutation of
+  /// [0, n)); the body executes ZERO collectives in the five ordering
+  /// phases and the result's `labels` stays empty.
   const std::vector<index_t>* labels = nullptr;
-  /// When non-null: receives the kRcm arm's level structure (cold runs
-  /// only; requires no load balancing to be useful to the repair
-  /// consumer).
-  OrderingRecipe* recipe = nullptr;
 };
 
 /// THE pipeline core: ordering (or label splice) -> one-shot redistribution
@@ -315,10 +311,11 @@ struct OrderedSolveSpec {
 /// budget DRCM_CHECK. The grid (and with it the per-rank DistWorkspace
 /// staging every exchange) survives the call, so a serving layer's request
 /// N+1 runs its collectives against warmed buffer capacities and its
-/// workspace realloc ledger stays flat. With spec.labels set this is the
-/// ordering-cache hit path: ZERO collectives in the five ordering phases —
-/// the property the serving layer's crossing ledger asserts per hit — and
-/// the result's `labels` stays empty. Collective on grid.world().
+/// workspace realloc ledger stays flat. With spec.labels set (the serving
+/// layer always sets them) the core runs ZERO collectives in the five
+/// ordering phases — the property the serving layer's crossing ledger
+/// asserts per hit — and the result's `labels` stays empty. Collective on
+/// grid.world().
 OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
                                       const OrderedSolveSpec& spec);
 
@@ -348,67 +345,10 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
 
 /// Assembles the replicated ORIGINAL-numbering solution from per-rank
 /// permuted slabs (rank order), OUTSIDE the SPMD ranks: the driver holds
-/// the slabs like any other checkpoint, so no rank's ledger pays for the
+/// the slabs like any other deposit, so no rank's ledger pays for the
 /// O(n) copy. DRCM_CHECKs the slabs cover exactly labels.size() rows.
 std::vector<double> assemble_solution(
     const std::vector<std::vector<double>>& slabs,
     const std::vector<index_t>& labels);
-
-/// Retry policy of run_ordered_solve_recoverable.
-struct RecoveryOptions {
-  mps::MachineParams machine{};
-  /// Scripted faults injected into every attempt's ranks; may be null.
-  /// Actions are one-shot, so a fault consumed by a failed attempt does
-  /// not re-fire in the retry — the property that makes bounded retries
-  /// make progress.
-  mps::FaultPlan* faults = nullptr;
-  /// Barrier watchdog budget per attempt (see mps::RunOptions); 0 disables.
-  double watchdog_seconds = 0.0;
-  /// Attempts per stage (>= 1) before the last failure is rethrown.
-  int max_attempts = 3;
-  /// Modeled backoff charged as a stall on every rank at the start of
-  /// retry k (linear: k * backoff seconds), so recovery cost shows up in
-  /// the merged ledger like any other modeled time.
-  double backoff_modeled_seconds = 0.05;
-};
-
-/// Result of a recoverable pipeline run. `report` is the sum over every
-/// attempt — including abandoned ones — so injected stalls, partial work
-/// and retry backoff all stay on the bill; `fault_log` names each failure
-/// that was absorbed.
-struct OrderedSolveRecoverableRun {
-  OrderedSolveResult result;
-  mps::SpmdReport report;
-  /// Runtime::run launches performed (3 stages when fault-free).
-  int runs = 0;
-  /// One line per absorbed failure: "<stage> attempt <k>: <what>".
-  std::vector<std::string> fault_log;
-};
-
-/// The Figure-1 pipeline with stage-boundary checkpoints and bounded
-/// retries. Execution is split into three SPMD runs — ordering (via
-/// dist_order, so the whole portfolio is recoverable), redistribute (the
-/// one-shot route), solve — whose outputs (replicated labels;
-/// per-rank row blocks) the driver holds between runs. A failed attempt
-/// (rank death, injected allocation failure, corrupted payload tripping a
-/// structural check or poisoning the CG recurrence, watchdog timeout) is
-/// retried from the last checkpoint up to `max_attempts` times with
-/// modeled backoff; one-shot fault semantics guarantee progress, and a
-/// recovered run is bit-identical to a fault-free run. When a stage
-/// exhausts its attempts the last structured error is rethrown — either
-/// way the pipeline terminates in bounded time with a named outcome,
-/// never a hang or a raw abort. spec.labels and spec.recipe are not
-/// consumed here (the recoverable runner owns its own checkpoints).
-OrderedSolveRecoverableRun run_ordered_solve_recoverable(
-    int nranks, const OrderedSolveSpec& spec,
-    const RecoveryOptions& recovery = {});
-
-/// Thin wrapper: the classic positional signature, packed into an
-/// OrderedSolveSpec and delegated.
-OrderedSolveRecoverableRun run_ordered_solve_recoverable(
-    int nranks, const sparse::CsrMatrix& a, std::span<const double> b,
-    bool precondition = true, const DistRcmOptions& rcm_options = {},
-    const solver::CgOptions& cg_options = {},
-    const RecoveryOptions& recovery = {});
 
 }  // namespace drcm::rcm

@@ -43,11 +43,35 @@ LanePlan plan_lanes(int ranks, std::size_t requests) {
 
 enum class Mode { kCold, kHit, kRepair };
 
+/// Per-request ledger isolation: parks the rank's running totals and runs
+/// the request on a zeroed recorder (peak_resident included, so the
+/// pipeline's per-rank budget asserts per request). On scope exit, a
+/// fault's unwind included, the request's segment is folded back into the
+/// running totals, so an abandoned launch's partial report still bills
+/// everything that preceded the fault.
+class RequestLedger {
+ public:
+  explicit RequestLedger(mps::Comm& lane) : lane_(lane), saved_(lane.stats()) {
+    lane_.stats().reset();
+  }
+  ~RequestLedger() {
+    const auto mine = lane_.stats();
+    lane_.stats() = saved_;
+    lane_.stats().merge_from(mine);
+  }
+  RequestLedger(const RequestLedger&) = delete;
+  RequestLedger& operator=(const RequestLedger&) = delete;
+
+ private:
+  mps::Comm& lane_;
+  mps::StatsRecorder saved_;
+};
+
 /// Driver-side state of one request across its batch: inputs prepared
-/// before any rank launches, the current wave's verdict, and the
-/// checkpoint its lane deposits. Deposits are read only after
-/// Runtime::run has joined every thread (it joins on faults too, so the
-/// deposits of completed requests survive an aborted launch).
+/// before any rank launches, the current wave's verdict, and what its lane
+/// deposits. Deposits are read only after Runtime::run has joined every
+/// thread (it joins on faults too, so the deposits of completed requests
+/// and of finished orderings survive an aborted launch).
 struct RequestState {
   /// Stripped ONCE outside the ranks (simulated ranks share an address
   /// space; run_ordered_solve does the same).
@@ -77,8 +101,13 @@ struct RequestState {
 
   bool done = false;
   std::vector<std::vector<double>> slabs;  ///< one per lane rank
-  std::vector<index_t> labels;             ///< misses only
-  rcm::OrderingRecipe recipe;              ///< misses only
+  /// A miss's ordering, deposited by lane rank 0 the moment it returns,
+  /// before redistribution starts: the request's stage-1 checkpoint.
+  bool ordered = false;
+  std::vector<index_t> labels;
+  rcm::OrderingRecipe recipe;
+  /// Lane rank 0's ordering-phase wall: the entry's eviction cost.
+  double ordering_wall = 0.0;
 };
 
 }  // namespace
@@ -207,6 +236,7 @@ ReorderingService::Wave ReorderingService::plan_wave(Batch& batch) const {
     resp.auto_selected = st.auto_selected;
     resp.proxies = st.proxies;
     st.slabs.assign(lane_size, {});
+    st.ordered = false;
     st.labels.clear();
     st.recipe = rcm::OrderingRecipe{};
   }
@@ -235,9 +265,9 @@ bool ReorderingService::run_wave(Batch& batch, Wave& wave) {
 
   // An attributable fault: the dying rank's in-flight request gets a
   // structured kFault response — unless it died mid-REPAIR, in which case
-  // it survives and relaunches cold (the cache is untouched either way;
-  // inserts only follow validated deposits). Everyone else is relaunched
-  // from the driver's checkpoints (one-shot actions cannot re-fire).
+  // it survives and relaunches cold. Everyone else is relaunched (one-shot
+  // actions cannot re-fire); commit_wave caches every ordering that
+  // finished before the fault, the victim's included.
   const auto attribute = [&](int rank, mps::FaultKind kind,
                              std::uint64_t ordinal) {
     batch.last_error = std::string("injected ") + mps::fault_kind_name(kind) +
@@ -253,7 +283,6 @@ bool ReorderingService::run_wave(Batch& batch, Wave& wave) {
     } else {
       batch.responses[req].status = RequestStatus::kFault;
       batch.responses[req].error = batch.last_error;
-      std::erase(wave.scheduled, req);
     }
   };
 
@@ -297,12 +326,7 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
   const auto& ropt = st.resolved;
   const auto& workspace = workspaces_[static_cast<std::size_t>(world_rank)];
 
-  // Per-request ledger isolation: park the attempt's running totals, run
-  // the request on a zeroed recorder (peak_resident included, so the
-  // pipeline's per-rank budget asserts per request), then fold the
-  // request's segment back into the running totals.
-  const auto saved = lane.stats();
-  lane.stats().reset();
+  const RequestLedger ledger(lane);
   const auto realloc0 = workspace.reallocations();
 
   // The lane's collective fingerprint (charged to kOther) must reproduce
@@ -314,46 +338,61 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
   DRCM_CHECK(fp == st.salted && rf.windows == st.refined.windows,
              "lane fingerprint must match the driver's serial twin");
 
-  // One pipeline call per request; the hit and repair branches add the
-  // known labels (which make the core skip the ordering and ignore the
-  // adjacency and recipe sink). Recipe capture (rank 0 only — the vector
-  // is driver-side) is what makes a cold entry repair-eligible.
-  rcm::OrderedSolveSpec spec;
-  spec.matrix = rq.matrix;
-  spec.b = rq.b;
-  spec.precondition = rq.precondition;
-  spec.rcm = ropt;
-  spec.cg = rq.cg;
-  spec.adjacency = &st.adjacency;
-  spec.recipe =
-      lane.rank() == 0 && repair_capable(ropt) ? &st.recipe : nullptr;
-
+  // Stage 1, explicitly: the cached labels on a hit, otherwise a repair or
+  // a cold ordering.
+  const std::vector<index_t>* labels = nullptr;
+  std::vector<index_t> computed;
   rcm::RepairResult rep;
   if (st.mode == Mode::kHit) {
     const CacheEntry* entry = cache_.find(fp);
     DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
-    spec.labels = &entry->labels;
-  } else if (st.mode == Mode::kRepair) {
-    const CacheEntry& src = *st.source.entry;
-    rep = rcm::dist_rcm_repair(grid, st.adjacency, src.labels, src.recipe,
-                               st.repair, ropt);
-    // A structural change detected mid-repair (component split / merge /
-    // reorder) falls back to an honest cold run, recipe captured so the
-    // fresh entry is itself repair-eligible.
-    if (rep.ok) spec.labels = &rep.labels;
-    if (rep.ok && options_.verify_repair) {
-      // Stats-isolated cross-check: the cold ordering must agree bit for
-      // bit, but its collectives must not pollute this request's ledger
-      // (or the crossing comparison the repair exists to win).
-      const auto parked = lane.stats();
-      lane.stats().reset();
-      const auto cold = rcm::dist_rcm(lane, st.adjacency, ropt);
-      lane.stats() = parked;
-      DRCM_CHECK(cold == rep.labels,
-                 "repair must be bit-identical to a cold recompute");
+    labels = &entry->labels;
+  } else {
+    if (st.mode == Mode::kRepair) {
+      const CacheEntry& src = *st.source.entry;
+      rep = rcm::dist_rcm_repair(grid, st.adjacency, src.labels, src.recipe,
+                                 st.repair, ropt);
+      if (rep.ok && options_.verify_repair) {
+        // Stats-isolated cross-check: the cold ordering must agree bit for
+        // bit, but its collectives must not pollute this request's ledger
+        // (or the crossing comparison the repair exists to win).
+        const auto parked = lane.stats();
+        lane.stats().reset();
+        const auto cold = rcm::dist_rcm(lane, st.adjacency, ropt);
+        lane.stats() = parked;
+        DRCM_CHECK(cold == rep.labels,
+                   "repair must be bit-identical to a cold recompute");
+      }
     }
+    if (rep.ok) {
+      computed = std::move(rep.labels);
+      if (lane.rank() == 0) st.recipe = std::move(rep.recipe);
+    } else {
+      // Cold, or a structural change detected mid-repair (component split /
+      // merge / reorder) falling back to an honest cold run. Recipe capture
+      // (rank 0 only — the vector is driver-side) is what makes the fresh
+      // entry repair-eligible.
+      computed = rcm::dist_order(
+          lane, st.adjacency, ropt, nullptr,
+          lane.rank() == 0 && repair_capable(ropt) ? &st.recipe : nullptr);
+    }
+    // Deposit the ordering before any later stage can fault: commit_wave
+    // caches it even if this request never finishes.
+    if (lane.rank() == 0) {
+      st.labels = computed;
+      st.ordering_wall = mps::ordering_wall(lane.stats());
+      st.ordered = true;
+    }
+    labels = &computed;
   }
   const bool repaired = st.mode == Mode::kRepair && rep.ok;
+
+  rcm::OrderedSolveSpec spec;
+  spec.matrix = rq.matrix;
+  spec.b = rq.b;
+  spec.precondition = rq.precondition;
+  spec.cg = rq.cg;
+  spec.labels = labels;
   rcm::OrderedSolveResult result = rcm::ordered_solve_spec(grid, spec);
   DRCM_CHECK(
       st.mode != Mode::kHit || mps::ordering_crossings(lane.stats()) == 0,
@@ -373,10 +412,6 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
                        x.sum_reallocs + y.sum_reallocs};
       });
 
-  const auto mine = lane.stats();
-  lane.stats() = saved;
-  lane.stats().merge_from(mine);
-
   // Deposit this rank's share. Lane rank 0 flips `done` LAST: the flip
   // happens after the closing allreduce above, which every lane rank must
   // have entered, and each rank's deposits precede its next collective — so
@@ -384,7 +419,7 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
   // joined the threads.
   auto& resp = batch.responses[req];
   st.slabs[static_cast<std::size_t>(lane.rank())] = std::move(result.x_local);
-  resp.report.ranks[static_cast<std::size_t>(lane.rank())] = mine;
+  resp.report.ranks[static_cast<std::size_t>(lane.rank())] = lane.stats();
   if (lane.rank() != 0) return;
   resp.cache_hit = st.mode == Mode::kHit;
   // A repair only counts as a HIT when it actually skipped work; one that
@@ -401,12 +436,6 @@ void ReorderingService::run_request(Batch& batch, const Wave& wave,
   resp.workspace_reallocations = closing.sum_reallocs;
   resp.lane = wave.lanes.color_of(world_rank);
   resp.lane_ranks = wave.lanes.lane_size;
-  if (repaired) {
-    st.labels = std::move(rep.labels);
-    st.recipe = std::move(rep.recipe);
-  } else if (st.mode != Mode::kHit) {
-    st.labels = std::move(result.labels);
-  }
   st.done = true;
 }
 
@@ -414,14 +443,34 @@ void ReorderingService::commit_wave(Batch& batch, Wave& wave, bool clean) {
   // New orderings are inserted after the loop: after the launch joined
   // (lanes never see the cache move) and before the next wave schedules,
   // so a deferred twin's next classification finds its sibling's entry
-  // and HITS.
+  // and HITS. Labels must be a permutation of [0, n) before they may touch
+  // the cache or index the solution assembly.
   std::vector<std::pair<PatternFingerprint, CacheEntry>> to_insert;
+  const auto valid_ordering = [](const RequestState& st) {
+    return st.labels.size() == static_cast<std::size_t>(st.refined.fp.n) &&
+           sparse::is_valid_permutation(st.labels);
+  };
+  const auto insert_ordering = [&](RequestState& st) {
+    CacheEntry entry;
+    entry.labels = std::move(st.labels);
+    entry.rf = st.refined;
+    entry.spec = st.resolved.ordering;
+    entry.recipe = std::move(st.recipe);
+    entry.cost_wall = st.ordering_wall;
+    to_insert.emplace_back(st.salted, std::move(entry));
+  };
   std::vector<std::size_t> unfinished;
   for (const std::size_t req : wave.scheduled) {
     auto& st = batch.state[req];
     auto& resp = batch.responses[req];
     if (!st.done) {
-      unfinished.push_back(req);
+      // The cache is the stage-1 checkpoint: an ordering that finished
+      // before the fault is kept, so the relaunch (or the victim's
+      // resubmission) hits instead of ordering again. An ordering the
+      // fault cut off deposited nothing and leaves no entry.
+      if (st.ordered && valid_ordering(st)) insert_ordering(st);
+      // The victim keeps its kFault; everyone else relaunches.
+      if (resp.status != RequestStatus::kFault) unfinished.push_back(req);
       continue;
     }
     resp.coalesced = st.deferred;
@@ -434,12 +483,9 @@ void ReorderingService::commit_wave(Batch& batch, Wave& wave, bool clean) {
       labels = &entry->labels;
     } else {
       ++cache_misses_;
-      // Labels must be a permutation of [0, n) before they may touch the
-      // cache or index the solution assembly — a faulted or corrupted
-      // ordering surfaces as a structured error, never as a poisoned
-      // cache entry.
-      if (st.labels.size() != static_cast<std::size_t>(st.refined.fp.n) ||
-          !sparse::is_valid_permutation(st.labels)) {
+      // A corrupted ordering surfaces as a structured error, never as a
+      // poisoned cache entry.
+      if (!valid_ordering(st)) {
         resp.status = RequestStatus::kFault;
         resp.error = "ordering produced an invalid permutation";
         continue;
@@ -452,18 +498,7 @@ void ReorderingService::commit_wave(Batch& batch, Wave& wave, bool clean) {
     resp.x = rcm::assemble_solution(st.slabs, *labels);
     resp.status = RequestStatus::kOk;
     resp.report.machine = options_.machine;
-    if (!resp.cache_hit) {
-      CacheEntry entry;
-      entry.labels = std::move(st.labels);
-      entry.rf = st.refined;
-      entry.spec = st.resolved.ordering;
-      entry.recipe = std::move(st.recipe);
-      for (const auto& rank_stats : resp.report.ranks) {
-        entry.cost_wall =
-            std::max(entry.cost_wall, mps::ordering_wall(rank_stats));
-      }
-      to_insert.emplace_back(st.salted, std::move(entry));
-    }
+    if (!resp.cache_hit) insert_ordering(st);
   }
   DRCM_CHECK(!clean || unfinished.empty(),
              "fault-free launch must complete every scheduled request");

@@ -43,11 +43,15 @@
 //
 // Fault isolation: scripted FaultPlan failures are one-shot, so a killed
 // request returns a structured kFault response while its batch peers are
-// transparently relaunched from the driver's checkpoints (at most
-// kMaxRelaunches times per batch) and complete bit-identically to a
-// fault-free run. A faulted request NEVER leaves a cache entry behind
-// (labels are validated and inserted only after its lane deposited a
-// completed result).
+// transparently relaunched (at most kMaxRelaunches times per batch) and
+// complete bit-identically to a fault-free run. The ordering cache is the
+// pipeline's one stage-1 checkpoint: lane rank 0 deposits a miss's labels
+// as soon as the ordering returns, and commit_wave caches every deposited
+// ordering that is a valid permutation, whether or not its request
+// finished. A fault in redistribution or the solve therefore never costs
+// the ordering twice — the relaunched peer, or the victim's resubmission,
+// is a hit. A faulted ORDERING never leaves a cache entry behind: it
+// deposited nothing.
 #pragma once
 
 #include <cstdint>

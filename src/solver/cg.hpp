@@ -21,8 +21,8 @@ struct CgOptions {
 /// Structured outcome of a CG solve. The solver never asserts on bad
 /// numerics: an indefinite direction, a stalled residual or a NaN/Inf in
 /// the recurrence (e.g. a corrupted payload) each map to a status the
-/// caller can branch on — kNanInf in particular is the retryable signal
-/// the recoverable pipeline driver consumes.
+/// caller can branch on (the reordering service reports kNanInf in the
+/// response's cg.status).
 enum class SolveStatus : int {
   kConverged = 0,   ///< relative residual reached rtol
   kMaxIterations,   ///< iteration budget exhausted above rtol

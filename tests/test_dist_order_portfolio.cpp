@@ -11,6 +11,7 @@
 #include "order/sloan.hpp"
 #include "rcm/ordering.hpp"
 #include "rcm/rcm_driver.hpp"
+#include "service/service.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/metrics.hpp"
 #include "sparse/permute.hpp"
@@ -240,20 +241,38 @@ TEST(DistOrder, RecipeCaptureDeclinedOffRcmArm) {
   });
 }
 
-TEST(DistOrder, RecoverableRunnerCoversThePortfolio) {
-  // The recoverable pipeline's stage 1 goes through dist_order, so a Sloan
-  // request survives the 3-stage checkpointed run end to end.
+TEST(DistOrder, FaultedServiceServesTheSloanArm) {
+  // The service orders every request through dist_order, so a Sloan
+  // request survives a rank death end to end: the killed submission fails
+  // structured, and the resubmission matches the fault-free Sloan pipeline
+  // bit for bit.
   const auto solver_matrix = gen::with_laplacian_values(gen::grid2d(7, 7));
   const std::vector<double> b(static_cast<std::size_t>(solver_matrix.n()),
                               1.0);
-  OrderedSolveSpec spec;
-  spec.matrix = &solver_matrix;
-  spec.b = b;
-  spec.rcm = with(OrderingAlgorithm::kSloan);
-  const auto run = run_ordered_solve_recoverable(4, spec);
-  EXPECT_EQ(run.result.labels,
+  const auto reference = run_ordered_solve(4, solver_matrix, b, true,
+                                           with(OrderingAlgorithm::kSloan));
+  ASSERT_EQ(reference.result.labels,
             order::sloan_levels(solver_matrix.strip_diagonal()));
-  EXPECT_EQ(run.result.cg.status, solver::SolveStatus::kConverged);
+
+  mps::FaultPlan plan;
+  plan.die_at(2, 12);
+  service::ServiceOptions options;
+  options.ranks = 4;
+  options.faults = &plan;
+  options.watchdog_seconds = 20.0;
+  service::ReorderingService service(options);
+  service::OrderSolveRequest request;
+  request.matrix = &solver_matrix;
+  request.b = b;
+  request.rcm = with(OrderingAlgorithm::kSloan);
+  const auto killed = service.submit(request);
+  EXPECT_EQ(killed.status, service::RequestStatus::kFault);
+  const auto served = service.submit(request);
+  ASSERT_EQ(served.status, service::RequestStatus::kOk) << served.error;
+  EXPECT_EQ(served.algorithm, OrderingAlgorithm::kSloan);
+  EXPECT_EQ(served.cg.status, solver::SolveStatus::kConverged);
+  EXPECT_EQ(served.permuted_bandwidth, reference.result.permuted_bandwidth);
+  EXPECT_EQ(served.x, reference.result.x);
 }
 
 }  // namespace

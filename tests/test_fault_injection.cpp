@@ -1,20 +1,23 @@
 // Fault-injection suite: scripted rank deaths, allocation failures,
 // payload corruption and stalls driven through the mpsim collective-entry
-// hook, the collective mismatch detector, the barrier watchdog, and the
-// recoverable ordered_solve driver. Every scenario must terminate with a
-// structured error or a bit-identical recovered result — zero hangs, zero
-// raw aborts — and replays identically run over run (the plans are pure
-// data; no timing or signals).
+// hook, the collective mismatch detector, the barrier watchdog, and
+// recovery through the reordering service. Every scenario must terminate
+// with a structured error or a bit-identical result — zero hangs, zero raw
+// aborts — and replays identically run over run (the plans are pure data;
+// no timing or signals).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpsim/fault.hpp"
 #include "mpsim/runtime.hpp"
-#include "rcm/rcm_driver.hpp"
+#include "service/service.hpp"
 #include "sparse/generators.hpp"
 
 namespace drcm {
@@ -215,128 +218,210 @@ TEST(FaultInjection, WatchdogConvertsAStalledRankIntoBoundedDiagnostic) {
 }
 
 // ---------------------------------------------------------------------------
-// Recoverable pipeline: every fault kind, both CI rank counts. A recovered
-// run must be bit-identical to the fault-free baseline.
+// Recovery through the reordering service: every fault kind, both CI rank
+// counts. A submit either completes bit-identically to a fault-free service
+// of the same geometry, or returns a structured kFault whose resubmission
+// does. An ordering that finished before the fault is cached, so the
+// resubmission skips it.
+
+using service::OrderSolveRequest;
+using service::OrderSolveResponse;
+using service::ReorderingService;
+using service::RequestStatus;
+using service::ServiceOptions;
+
+struct Problem {
+  sparse::CsrMatrix a;
+  std::vector<double> b;
+
+  Problem(sparse::CsrMatrix matrix, double base, int period)
+      : a(std::move(matrix)), b(static_cast<std::size_t>(a.n())) {
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = base + static_cast<double>(i % static_cast<std::size_t>(period));
+    }
+  }
+
+  OrderSolveRequest request() const {
+    OrderSolveRequest rq;
+    rq.matrix = &a;
+    rq.b = b;
+    return rq;
+  }
+};
+
+ServiceOptions service_options(int ranks, FaultPlan* plan = nullptr) {
+  ServiceOptions options;
+  options.ranks = ranks;
+  options.faults = plan;
+  options.watchdog_seconds = 20.0;
+  return options;
+}
+
+OrderSolveResponse fault_free(int ranks, const OrderSolveRequest& rq) {
+  ReorderingService service(service_options(ranks));
+  return service.submit(rq);
+}
+
+void expect_same_solution(const OrderSolveResponse& got,
+                          const OrderSolveResponse& want) {
+  ASSERT_EQ(got.status, RequestStatus::kOk) << got.error;
+  EXPECT_EQ(got.permuted_bandwidth, want.permuted_bandwidth);
+  EXPECT_EQ(got.cg.iterations, want.cg.iterations);
+  EXPECT_EQ(got.cg.status, want.cg.status);
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (std::size_t i = 0; i < got.x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x[i]),
+              std::bit_cast<std::uint64_t>(want.x[i]))
+        << "x[" << i << "]";
+  }
+}
 
 struct NamedPlan {
   const char* name;
   FaultPlan plan;
+  /// The ordering finished before the fault, so a failed request's
+  /// resubmission is a cache hit.
+  bool ordering_cached;
 };
 
+// Per-rank collective ordinals of one 8x8 request launch, the same at
+// p = 4 and 9: 1-3 the lane and grid splits, 4-7 the fingerprint, 8-55
+// the ordering, 56-58 the redistribution, then CG.
 std::vector<NamedPlan> pipeline_plans(int nranks) {
   std::vector<NamedPlan> plans;
-  plans.push_back({"rank-death", FaultPlan().die_at(nranks - 1, 5)});
-  // Ordinal 5 lands the poisoned word on a payload the ordering actually
-  // consumes at both grid sizes, so the first attempt must fail and retry.
-  plans.push_back({"payload-corruption", FaultPlan().corrupt_at(1, 5)});
-  plans.push_back({"alloc-failure", FaultPlan().fail_alloc_at(0, 6)});
-  plans.push_back({"stall", FaultPlan().stall_at(2, 2, 0.25)});
+  plans.push_back({"rank-death", FaultPlan().die_at(nranks - 1, 20), false});
+  plans.push_back({"payload-corruption", FaultPlan().corrupt_at(1, 5), false});
+  plans.push_back({"alloc-failure", FaultPlan().fail_alloc_at(0, 57), true});
+  plans.push_back({"stall", FaultPlan().stall_at(2, 2, 0.25), false});
   return plans;
 }
 
-TEST(RecoverablePipeline, RecoveredRunsAreBitIdenticalToFaultFreeRuns) {
-  const auto a = gen::with_laplacian_values(gen::grid2d(8, 8));
-  std::vector<double> b(static_cast<std::size_t>(a.n()));
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = 1.0 + static_cast<double>(i % 7);
-  }
+TEST(ServiceRecovery, EveryFaultKindEndsBitIdenticalOrStructured) {
+  const Problem problem(gen::with_laplacian_values(gen::grid2d(8, 8)), 1.0, 7);
+  const auto rq = problem.request();
   for (const int p : {4, 9}) {
-    const auto clean = rcm::run_ordered_solve(p, a, b);
+    const auto clean = fault_free(p, rq);
+    ASSERT_EQ(clean.status, RequestStatus::kOk) << clean.error;
     for (auto& scripted : pipeline_plans(p)) {
-      rcm::RecoveryOptions recovery;
-      recovery.faults = &scripted.plan;
-      recovery.watchdog_seconds = 20.0;
-      recovery.max_attempts = 3;
-      const auto run =
-          rcm::run_ordered_solve_recoverable(p, a, b, true, {}, {}, recovery);
       SCOPED_TRACE(std::string(scripted.name) + " p=" + std::to_string(p));
-      EXPECT_EQ(run.result.labels, clean.result.labels);
-      EXPECT_EQ(run.result.permuted_bandwidth,
-                clean.result.permuted_bandwidth);
-      EXPECT_EQ(run.result.cg.iterations, clean.result.cg.iterations);
-      EXPECT_EQ(run.result.cg.status, clean.result.cg.status);
-      ASSERT_EQ(run.result.x.size(), clean.result.x.size());
-      for (std::size_t i = 0; i < run.result.x.size(); ++i) {
-        EXPECT_EQ(run.result.x[i], clean.result.x[i]) << "x[" << i << "]";
-      }
-      // A stall completes in one attempt per stage but still bills its
-      // dead time; the failing kinds must have absorbed >= 1 failure.
-      if (std::string(scripted.name) == "stall") {
-        EXPECT_EQ(run.runs, 3);
-        EXPECT_TRUE(run.fault_log.empty());
+      ReorderingService service(service_options(p, &scripted.plan));
+      const auto first = service.submit(rq);
+      EXPECT_TRUE(scripted.plan.actions().front().fired)
+          << "the fault must land inside the request";
+      if (first.status == RequestStatus::kFault) {
+        EXPECT_NE(first.error.find(scripted.name), std::string::npos)
+            << first.error;
+        EXPECT_EQ(service.cache_size(), scripted.ordering_cached ? 1u : 0u);
+        const auto retried = service.submit(rq);
+        EXPECT_EQ(retried.cache_hit, scripted.ordering_cached);
+        expect_same_solution(retried, clean);
       } else {
-        EXPECT_GT(run.runs, 3) << "a failed attempt must have been retried";
-        ASSERT_FALSE(run.fault_log.empty());
-        EXPECT_NE(run.fault_log.front().find("attempt 1"), std::string::npos)
-            << run.fault_log.front();
+        expect_same_solution(first, clean);
+      }
+      if (std::string(scripted.name) == "stall") {
+        // A stall completes in one launch but still bills its dead time.
+        EXPECT_EQ(first.status, RequestStatus::kOk);
+        EXPECT_EQ(service.launches(), 1);
+        EXPECT_GE(service.cumulative_report()
+                      .ranks[2]
+                      .total()
+                      .model_compute_seconds,
+                  0.25);
+      } else {
+        EXPECT_TRUE(first.status == RequestStatus::kFault ||
+                    service.launches() > 1)
+            << "the fault must fail the request or relaunch it";
       }
     }
   }
 }
 
-TEST(RecoverablePipeline, RetriedAttemptsStayOnTheCostLedger) {
-  const auto a = gen::with_laplacian_values(gen::grid2d(8, 8));
-  std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
-  const auto clean = rcm::run_ordered_solve(4, a, b);
+TEST(ServiceRecovery, SolveStageDeathCachesTheOrderingForTheRetry) {
+  // Rank 3 dies in the middle of CG, long after the ordering returned. The
+  // request still fails, but its ordering was validated and cached, so the
+  // resubmission is a hit that skips every ordering collective.
+  const Problem problem(gen::with_laplacian_values(gen::grid2d(9, 9)), 0.5, 5);
+  const auto rq = problem.request();
+  constexpr int kRanks = 4;
+  constexpr int kVictim = 3;
+
+  // A fault-free probe locates the solve: collective ordinals count every
+  // collective a rank enters in the launch, and the request's closing
+  // allreduce (the launch's last collective) directly follows the solver's.
+  ReorderingService probe(service_options(kRanks));
+  const auto clean = probe.submit(rq);
+  ASSERT_EQ(clean.status, RequestStatus::kOk) << clean.error;
+  const auto total =
+      probe.cumulative_report().ranks[kVictim].total().collectives;
+  const auto solver = clean.report.ranks[kVictim]
+                          .phase(mps::Phase::kSolver)
+                          .collectives;
+  ASSERT_GT(solver, 2u);
+
   FaultPlan plan;
-  plan.die_at(3, 5);
-  rcm::RecoveryOptions recovery;
-  recovery.faults = &plan;
-  recovery.max_attempts = 3;
-  recovery.backoff_modeled_seconds = 0.125;
-  const auto run =
-      rcm::run_ordered_solve_recoverable(4, a, b, true, {}, {}, recovery);
-  // The merged ledger bills the abandoned attempt's partial work plus the
-  // retry backoff on top of everything the clean run pays.
-  EXPECT_GT(run.report.ranks[0].total().model_total(),
-            clean.report.ranks[0].total().model_total());
-  // Rank 0's retry charged the scripted backoff as modeled stall time.
-  EXPECT_GE(run.report.ranks[0].total().model_compute_seconds,
-            clean.report.ranks[0].total().model_compute_seconds + 0.125);
+  plan.die_at(kVictim, total - 1 - solver / 2);
+  ReorderingService service(service_options(kRanks, &plan));
+  const auto killed = service.submit(rq);
+  EXPECT_EQ(killed.status, RequestStatus::kFault);
+  EXPECT_NE(killed.error.find("rank-death"), std::string::npos)
+      << killed.error;
+  EXPECT_TRUE(killed.x.empty());
+  EXPECT_EQ(service.cache_size(), 1u)
+      << "an ordering finished before the fault is checkpointed in the cache";
+
+  const auto retried = service.submit(rq);
+  EXPECT_TRUE(retried.cache_hit);
+  EXPECT_EQ(retried.ordering_crossings, 0u);
+  expect_same_solution(retried, clean);
+  EXPECT_EQ(service.cache_hits(), 1u);
 }
 
-TEST(RecoverablePipeline, AttemptExhaustionRethrowsTheStructuredError) {
-  const auto a = gen::with_laplacian_values(gen::grid2d(6, 6));
-  std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
-  // One death per allowed attempt: the ordering stage can never finish.
+TEST(ServiceRecovery, AbandonedLaunchesStayOnTheCumulativeBill) {
+  const Problem problem(gen::with_laplacian_values(gen::grid2d(8, 8)), 1.0, 1);
+  const auto rq = problem.request();
+  ReorderingService clean(service_options(4));
+  ASSERT_EQ(clean.submit(rq).status, RequestStatus::kOk);
+
   FaultPlan plan;
-  plan.die_at(0, 1).die_at(0, 2);
-  rcm::RecoveryOptions recovery;
-  recovery.faults = &plan;
-  recovery.max_attempts = 2;
-  EXPECT_THROW(
-      rcm::run_ordered_solve_recoverable(4, a, b, true, {}, {}, recovery),
-      mps::InjectedFault);
+  plan.stall_at(0, 2, 0.125).die_at(3, 5);
+  ReorderingService service(service_options(4, &plan));
+  EXPECT_EQ(service.submit(rq).status, RequestStatus::kFault);
+  ASSERT_EQ(service.submit(rq).status, RequestStatus::kOk);
+  // The cumulative ledger bills the abandoned launch's partial work and
+  // its stall on top of everything the clean run pays.
+  const auto& billed = service.cumulative_report().ranks[0].total();
+  const auto& fault_free_bill = clean.cumulative_report().ranks[0].total();
+  EXPECT_GT(billed.model_total(), fault_free_bill.model_total());
+  EXPECT_GE(billed.model_compute_seconds,
+            fault_free_bill.model_compute_seconds + 0.125);
 }
 
-TEST(RecoverablePipeline, SeededRandomPlanSweepTerminatesStructured) {
-  const auto a = gen::with_laplacian_values(gen::grid2d(7, 7));
-  std::vector<double> b(static_cast<std::size_t>(a.n()));
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = 0.5 + static_cast<double>(i % 5);
-  }
-  const auto clean = rcm::run_ordered_solve(4, a, b);
+TEST(ServiceRecovery, SeededRandomPlanSweepEndsBitIdentical) {
+  const Problem problem(gen::with_laplacian_values(gen::grid2d(7, 7)), 0.5, 5);
+  const auto rq = problem.request();
+  const auto clean = fault_free(4, rq);
+  ASSERT_EQ(clean.status, RequestStatus::kOk) << clean.error;
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
-    FaultPlan plan = FaultPlan::random(seed, 4, 60, 3);
-    rcm::RecoveryOptions recovery;
-    recovery.faults = &plan;
-    recovery.watchdog_seconds = 20.0;
-    recovery.max_attempts = 4;
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    try {
-      const auto run =
-          rcm::run_ordered_solve_recoverable(4, a, b, true, {}, {}, recovery);
-      // Completed: then it must be the fault-free answer, bit for bit.
-      EXPECT_EQ(run.result.labels, clean.result.labels);
-      ASSERT_EQ(run.result.x.size(), clean.result.x.size());
-      for (std::size_t i = 0; i < run.result.x.size(); ++i) {
-        EXPECT_EQ(run.result.x[i], clean.result.x[i]);
+    FaultPlan plan = FaultPlan::random(seed, 4, 60, 3);
+    ReorderingService service(service_options(4, &plan));
+    // Each failing launch spends at least one of the three one-shot
+    // faults, so the fourth submission runs fault-free. A poisoned CG
+    // recurrence is a structured outcome too (kOk with cg.status kNanInf)
+    // and is resubmitted like a kFault.
+    OrderSolveResponse response;
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      response = service.submit(rq);
+      if (response.status == RequestStatus::kOk && response.cg.converged) {
+        break;
       }
-    } catch (const std::exception& e) {
-      // Exhausted its attempts: acceptable, as long as the error is a
-      // structured one that names what happened.
-      EXPECT_FALSE(std::string(e.what()).empty());
+      if (response.status == RequestStatus::kFault) {
+        EXPECT_FALSE(response.error.empty());
+      }
     }
+    // Every completed, converged answer is the fault-free one, bit for bit.
+    EXPECT_TRUE(response.cg.converged);
+    expect_same_solution(response, clean);
   }
 }
 

@@ -9,8 +9,8 @@
 //    not the problem);
 //  * same-shape different-pattern requests MUST miss (n and nnz equal,
 //    structure different), and ordering-salient options salt the key;
-//  * a mid-solve rank death returns a structured kFault and never leaves
-//    a poisoned cache entry behind;
+//  * a rank death mid-ordering returns a structured kFault and never
+//    leaves a poisoned cache entry behind;
 //  * a 50-request stream of one pattern runs with zero workspace
 //    reallocations and zero ordering crossings from request 3 on;
 //  * eviction is cost/recency-weighted (an expensive ordering survives
